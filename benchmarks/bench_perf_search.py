@@ -18,8 +18,12 @@ latency along the axes the fast path optimizes:
 
 The pruned-exactness contract is asserted inside the run: fast-path
 results — columnar AND object — must be identical (ids, scores, order)
-to the naive scan for every benchmark query; a mismatch exits non-zero,
-which is what CI's ``--quick`` smoke invocation gates on.
+to the naive scan for every benchmark query, with ``total_matches``
+equal to the naive count of datasets scoring above zero; a mismatch
+exits non-zero, which is what CI's ``--quick`` smoke invocation gates
+on.  The report's ``exactness_gate`` block records how many rows the
+columnar scan's array pass and scalar rescore handled during the gate,
+so CI can check the gate covered the vectorised stage.
 
 Usage::
 
@@ -47,6 +51,7 @@ from repro.catalog import DatasetFeature, MemoryCatalog, VariableEntry
 from repro.core import Query, SearchEngine, VariableTerm, score_feature
 from repro.geo import BoundingBox, GeoPoint, TimeInterval
 from repro.hierarchy import vocabulary_hierarchy
+from repro.obs import Telemetry, use_telemetry
 
 SECONDS_PER_DAY = 86_400.0
 EPOCH_2008 = 1_199_145_600.0  # 2008-01-01T00:00:00Z
@@ -139,7 +144,10 @@ def synthetic_queries(n_queries: int, seed: int) -> list[Query]:
 
 
 def naive_search(catalog, query, hierarchy, config, limit):
-    """The pre-fast-path reference: score all, sort all, truncate."""
+    """The pre-fast-path reference: score all, sort all, truncate.
+
+    Returns the page and the match count (datasets scoring above zero).
+    """
     results = []
     for feature in catalog:
         breakdown = score_feature(
@@ -149,7 +157,7 @@ def naive_search(catalog, query, hierarchy, config, limit):
             continue
         results.append((breakdown.total, feature.dataset_id))
     results.sort(key=lambda r: (-r[0], r[1]))
-    return results[:limit]
+    return results[:limit], len(results)
 
 
 def median_time(fn, repeats: int) -> float:
@@ -177,25 +185,40 @@ def run(n_datasets: int, n_queries: int, repeats: int, limit: int) -> dict:
     # -- exactness gate ----------------------------------------------------
     print("checking pruned-exactness against the naive scan ...")
     mismatches = 0
+    gate_telemetry = Telemetry()
     for query in queries:
-        fast = [
-            (r.score, r.dataset_id)
-            for r in engine.search(query, limit=limit)
-        ]
-        via_objects = [
-            (r.score, r.dataset_id)
-            for r in object_engine.search(query, limit=limit)
-        ]
-        naive = naive_search(catalog, query, hierarchy, config, limit)
-        if fast != naive or via_objects != naive:
+        with use_telemetry(gate_telemetry):
+            fast_results = engine.search(query, limit=limit)
+        object_results = object_engine.search(query, limit=limit)
+        fast = [(r.score, r.dataset_id) for r in fast_results]
+        via_objects = [(r.score, r.dataset_id) for r in object_results]
+        naive, naive_matches = naive_search(
+            catalog, query, hierarchy, config, limit
+        )
+        if (
+            fast != naive
+            or via_objects != naive
+            or [r.breakdown for r in fast_results]
+            != [r.breakdown for r in object_results]
+            or fast_results.total_matches != naive_matches
+            or object_results.total_matches != naive_matches
+        ):
             mismatches += 1
             print(f"  MISMATCH for {query.describe()!r}")
-            print(f"    columnar: {fast[:3]} ...")
-            print(f"    object  : {via_objects[:3]} ...")
-            print(f"    naive   : {naive[:3]} ...")
+            print(f"    columnar: {fast[:3]} ... "
+                  f"({fast_results.total_matches} matches)")
+            print(f"    object  : {via_objects[:3]} ... "
+                  f"({object_results.total_matches} matches)")
+            print(f"    naive   : {naive[:3]} ... ({naive_matches} matches)")
     if mismatches:
         print(f"exactness FAILED on {mismatches}/{len(queries)} queries")
         return {"exactness_ok": False, "mismatches": mismatches}
+    counters = gate_telemetry.snapshot()["counters"]
+    exactness_gate = {
+        "queries": len(queries),
+        "rows_approximated": counters.get("scan.rows_approximated", 0),
+        "rows_rescored": counters.get("scan.rows_rescored", 0),
+    }
 
     # -- latency -----------------------------------------------------------
     def bench_naive():
@@ -257,6 +280,7 @@ def run(n_datasets: int, n_queries: int, repeats: int, limit: int) -> dict:
         "limit": limit,
         "repeats": repeats,
         "exactness_ok": True,
+        "exactness_gate": exactness_gate,
         "naive_ms_per_query": naive_s * per_query,
         "cold_ms_per_query": cold_s * per_query,
         "object_cold_ms_per_query": object_cold_s * per_query,

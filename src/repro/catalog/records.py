@@ -9,7 +9,7 @@ never the raw data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from ..geo import BoundingBox, TimeInterval
 
@@ -64,8 +64,26 @@ class VariableEntry:
         )
 
     def copy(self) -> "VariableEntry":
-        """A detached copy (stores hand out copies, never internals)."""
-        return replace(self)
+        """A detached copy (stores hand out copies, never internals).
+
+        Spelled out field by field: ``dataclasses.replace`` costs about
+        three times as much, and every search page copies its features.
+        """
+        return VariableEntry(
+            written_name=self.written_name,
+            written_unit=self.written_unit,
+            name=self.name,
+            unit=self.unit,
+            count=self.count,
+            minimum=self.minimum,
+            maximum=self.maximum,
+            mean=self.mean,
+            stddev=self.stddev,
+            excluded=self.excluded,
+            ambiguous=self.ambiguous,
+            context=self.context,
+            resolution=self.resolution,
+        )
 
 
 @dataclass(slots=True)

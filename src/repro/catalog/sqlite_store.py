@@ -526,12 +526,15 @@ class SqliteCatalog(CatalogStore):
             return self._feature_from_row(row)
 
     @staticmethod
-    def _variable_from_row(v: tuple) -> VariableEntry:
+    def _variable_from_row(v: tuple, strings: dict[str, str]) -> VariableEntry:
+        """One variables row as an entry, its string fields interned
+        through ``strings`` (shared across the rows of one read)."""
+        intern = strings.setdefault
         return VariableEntry(
-            written_name=v[2],
-            written_unit=v[3],
-            name=v[4],
-            unit=v[5],
+            written_name=intern(v[2], v[2]),
+            written_unit=intern(v[3], v[3]),
+            name=intern(v[4], v[4]),
+            unit=intern(v[5], v[5]),
             count=v[6],
             minimum=v[7],
             maximum=v[8],
@@ -539,8 +542,8 @@ class SqliteCatalog(CatalogStore):
             stddev=v[10],
             excluded=bool(v[11]),
             ambiguous=bool(v[12]),
-            context=v[13],
-            resolution=v[14],
+            context=intern(v[13], v[13]),
+            resolution=intern(v[14], v[14]),
         )
 
     def _feature_from_row(
@@ -553,8 +556,9 @@ class SqliteCatalog(CatalogStore):
             attributes_json, content_hash,
         ) = row
         if variables is None:
+            strings: dict[str, str] = {}
             variables = [
-                self._variable_from_row(v)
+                self._variable_from_row(v, strings)
                 for v in self._conn.execute(
                     "SELECT * FROM variables WHERE dataset_id = ? "
                     "ORDER BY position",
@@ -613,16 +617,22 @@ class SqliteCatalog(CatalogStore):
         Variables are fetched once, grouped by dataset in python, then
         attached as each dataset row streams out — exactly the shape
         :meth:`__iter__` consumers (index builds, publish digests,
-        exports) need.  Rows are materialized up front so concurrent
-        writes through this connection cannot corrupt the cursor.
+        exports) need.  Everything is read under the connection lock, so
+        concurrent writes through this connection cannot corrupt a
+        cursor; the variables cursor is consumed row by row there rather
+        than materialized.  The variables' repeated strings (names,
+        units, context, resolution — a few dozen distinct values across
+        thousands of rows) are interned through a per-call dict, so a
+        snapshot holds each distinct value once.
         """
         with self._lock:
             grouped: dict[str, list[VariableEntry]] = {}
+            strings: dict[str, str] = {}
             for v in self._conn.execute(
                 "SELECT * FROM variables ORDER BY dataset_id, position"
-            ).fetchall():
+            ):
                 grouped.setdefault(v[0], []).append(
-                    self._variable_from_row(v)
+                    self._variable_from_row(v, strings)
                 )
             rows = self._conn.execute(
                 "SELECT * FROM datasets ORDER BY dataset_id"

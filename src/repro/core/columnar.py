@@ -1,4 +1,4 @@
-"""Columnar snapshot scoring: frozen facet columns, tight per-row loops.
+"""Columnar snapshot scoring: frozen facet columns, two-stage scan.
 
 The object scoring path walks :class:`~repro.catalog.records.DatasetFeature`
 instances — per-query that means a dict lookup, a defensive copy and a
@@ -9,35 +9,50 @@ dominated by that object traffic, not by the scoring arithmetic.
 reads — bbox extents, time-interval endpoints, per-variable stats and an
 interned variable-name table — into flat :mod:`array` columns keyed by a
 dense row index, version-stamped like
-:class:`~repro.catalog.store.CatalogSnapshot`.  :class:`ColumnarScorer`
-then reproduces :meth:`~repro.core.scoring.QueryScorer.score_bounded`
-over those columns **bit-identically**:
+:class:`~repro.catalog.store.CatalogSnapshot`.  :meth:`ColumnarSnapshot.arrays`
+exposes the same buffers to numpy without copying.
 
-* every scalar kernel is shared with the object path
-  (:func:`~repro.geo.bbox.box_distance_km_to_point`,
-  :func:`~repro.geo.timeinterval.interval_gap_seconds`,
-  :func:`~repro.core.scoring.range_similarity_values`,
-  :func:`~repro.core.scoring.name_similarity`) — one source of truth,
-  so the floats cannot drift;
-* term weights, accumulation order, the top-k floor prune check and the
-  :class:`~repro.core.scoring.ScoreBreakdown` construction mirror
-  ``score_bounded`` operation for operation;
-* rows are laid out in sorted-dataset-id order — the order every
-  store's ``dataset_ids()`` returns — so a serial scan visits datasets
-  exactly as the object path does and the floor sequence matches.
+:class:`ColumnarScorer` scores those rows in two stages:
+
+1. :meth:`ColumnarScorer.approximate_totals` — one numpy array pass over
+   the columns (location kernels, interval gap, decay shapes, variable
+   terms reduced per CSR segment).  numpy's transcendentals are not
+   guaranteed to match libm bit for bit, so these totals only *select*
+   rows: every approximate total lies within :data:`APPROX_TOLERANCE`
+   of the exact one.
+2. :meth:`ColumnarScorer.score_row_bounded` — the scalar kernels,
+   reproducing :meth:`~repro.core.scoring.QueryScorer.score_bounded`
+   **bit-identically**, rescore just the selected rows:
+
+   * every scalar kernel is shared with the object path
+     (:func:`~repro.geo.bbox.box_distance_km_to_point`,
+     :func:`~repro.geo.timeinterval.interval_gap_seconds`,
+     :func:`~repro.core.scoring.range_similarity_values`,
+     :func:`~repro.core.scoring.name_similarity`) — one source of truth,
+     so the floats cannot drift;
+   * term weights, accumulation order, the top-k floor prune check and
+     the :class:`~repro.core.scoring.ScoreBreakdown` construction mirror
+     ``score_bounded`` operation for operation;
+   * rows are laid out in sorted-dataset-id order — the order every
+     store's ``dataset_ids()`` returns.
 
 ``tests/test_search_columnar.py`` pins columnar == object on ids,
-scores, ordering and full breakdowns under Hypothesis, the way
-``test_search_sharded.py`` pins sharded == serial.
+scores, ordering and full breakdowns under Hypothesis;
+``tests/test_search_vectorised.py`` bounds the stage-1 error and pins
+the selection, ``total_matches`` and the column layout.
 """
 
 from __future__ import annotations
 
+import math
 from array import array
-from typing import Iterable
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from ..geo import SECONDS_PER_DAY
 from ..geo.bbox import box_distance_km_to_box, box_distance_km_to_point
+from ..geo.point import EARTH_RADIUS_KM
 from ..geo.timeinterval import interval_gap_seconds
 from ..obs import get_telemetry
 from .scoring import (
@@ -47,6 +62,195 @@ from .scoring import (
     name_similarity,
     range_similarity_values,
 )
+
+
+#: Bound on ``|approximate - exact|`` for one row's total.  The array
+#: pass runs the scalar kernels' operations in the same order, so the
+#: only divergence is numpy's transcendentals (sin, cos, atan, asin,
+#: exp) against libm's: a few ULP each, damped by decay slopes <= 1 and
+#: by the weighted mean, which keeps totals in [0, 1].  Over 200k
+#: random rows the largest observed gap was 2.2e-16 (one ULP of 1.0);
+#: the property test in ``tests/test_search_vectorised.py`` pins it
+#: below this bound, which leaves seven orders of magnitude spare.
+APPROX_TOLERANCE = 1e-9
+
+#: Name-similarity rows memoised per snapshot (see
+#: :meth:`ColumnarSnapshot.name_similarities`); the memo is dropped
+#: whole when it fills, which bounds it without LRU bookkeeping.
+NAME_SIMS_MEMO_SIZE = 256
+
+#: The columns :meth:`ColumnarSnapshot.arrays` exposes, with their
+#: numpy dtype.  Per-row columns have ``len(view)`` entries,
+#: ``var_offsets`` one more, and the per-variable columns
+#: ``var_offsets[-1]``.
+COLUMN_DTYPES = (
+    ("min_lat", np.float64), ("min_lon", np.float64),
+    ("max_lat", np.float64), ("max_lon", np.float64),
+    ("t_start", np.float64), ("t_end", np.float64),
+    ("var_offsets", np.int64), ("var_name_ids", np.int64),
+    ("var_counts", np.int64), ("var_mins", np.float64),
+    ("var_maxs", np.float64),
+)
+
+
+class ColumnArrays:
+    """Read-only numpy views over a snapshot's ``array`` columns.
+
+    ``np.frombuffer`` shares the ``array`` buffers, so nothing is held
+    twice; the views are marked read-only because the snapshot is
+    frozen.  (An exported buffer also pins the ``array`` against
+    resizing, which a frozen column never needs.)
+    """
+
+    __slots__ = tuple(name for name, __ in COLUMN_DTYPES)
+
+    def __init__(self, view: "ColumnarSnapshot") -> None:
+        for name, dtype in COLUMN_DTYPES:
+            column = np.frombuffer(getattr(view, name), dtype=dtype)
+            column.flags.writeable = False
+            setattr(self, name, column)
+
+
+# -- stage 1: array twins of the scalar kernels --------------------------------
+#
+# Each mirrors its scalar kernel operation for operation (same formula,
+# same evaluation order, Python's ``min``/``max`` NaN semantics spelled
+# out with ``np.where``), so the only difference left is the rounding of
+# numpy's transcendentals — see APPROX_TOLERANCE.
+
+
+def _py_max(a, b):
+    """Elementwise ``max(a, b)`` with Python's semantics (a unless b > a)."""
+    return np.where(b > a, b, a)
+
+
+def _py_min(a, b):
+    """Elementwise ``min(a, b)`` with Python's semantics (a unless b < a)."""
+    return np.where(b < a, b, a)
+
+
+def decay_array(distance_in_scales: np.ndarray, shape: str) -> np.ndarray:
+    """Array twin of :func:`~repro.core.scoring.decay`."""
+    if shape == "exponential":
+        return np.exp(-distance_in_scales)
+    if shape == "reciprocal":
+        return 1.0 / (1.0 + distance_in_scales)
+    if shape == "linear":
+        return _py_max(0.0, 1.0 - distance_in_scales)
+    raise ValueError(f"unknown decay shape {shape!r}")
+
+
+def box_distance_km_to_point_array(
+    min_lat, min_lon, max_lat, max_lon, lat: float, lon: float
+) -> np.ndarray:
+    """Array twin of :func:`~repro.geo.bbox.box_distance_km_to_point`.
+
+    The scalar kernel skips the edge candidates when the clamped point
+    is already at distance 0; here they are always evaluated, which
+    cannot change the minimum (every candidate term is >= 0).
+    """
+    radians = np.radians
+    sin = np.sin
+    cos = np.cos
+    near_lat = np.minimum(np.maximum(lat, min_lat), max_lat)
+    near_lon = np.minimum(np.maximum(lon, min_lon), max_lon)
+    phi1 = math.radians(lat)
+    cos_phi1 = math.cos(phi1)
+    best_a = (
+        sin(radians(near_lat - lat) / 2.0) ** 2
+        + cos_phi1 * cos(radians(near_lat))
+        * sin(radians(near_lon - lon) / 2.0) ** 2
+    )
+    t_min = sin(radians(min_lat - lat) / 2.0) ** 2
+    cc_min = cos_phi1 * cos(radians(min_lat))
+    t_max = sin(radians(max_lat - lat) / 2.0) ** 2
+    cc_max = cos_phi1 * cos(radians(max_lat))
+    tan_phi1 = math.tan(phi1)
+    for edge_lon in (min_lon, max_lon):
+        cos_dlon = cos(radians(lon - edge_lon))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            optimal = np.where(
+                np.abs(cos_dlon) > 1e-12,
+                np.degrees(np.arctan(tan_phi1 / cos_dlon)),
+                0.0,
+            )
+        clamped = np.minimum(np.maximum(optimal, min_lat), max_lat)
+        sin_sq_dlambda = sin(radians(edge_lon - lon) / 2.0) ** 2
+        best_a = np.minimum(
+            best_a,
+            sin(radians(clamped - lat) / 2.0) ** 2
+            + cos_phi1 * cos(radians(clamped)) * sin_sq_dlambda,
+        )
+        best_a = np.minimum(best_a, t_min + cc_min * sin_sq_dlambda)
+        best_a = np.minimum(best_a, t_max + cc_max * sin_sq_dlambda)
+    best_a = np.minimum(1.0, np.maximum(0.0, best_a))
+    return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(best_a))
+
+
+def box_distance_km_to_box_array(
+    min_lat, min_lon, max_lat, max_lon, region
+) -> np.ndarray:
+    """Array twin of :func:`~repro.geo.bbox.box_distance_km_to_box`
+    (then :func:`~repro.geo.point.haversine_km`) against one region."""
+    apart = (
+        (region.min_lat > max_lat)
+        | (region.max_lat < min_lat)
+        | (region.min_lon > max_lon)
+        | (region.max_lon < min_lon)
+    )
+    lat1 = np.minimum(np.maximum(region.min_lat, min_lat), max_lat)
+    lon1 = np.minimum(np.maximum(region.min_lon, min_lon), max_lon)
+    lat2 = np.minimum(np.maximum(lat1, region.min_lat), region.max_lat)
+    lon2 = np.minimum(np.maximum(lon1, region.min_lon), region.max_lon)
+    a = (
+        np.sin(np.radians(lat2 - lat1) / 2.0) ** 2
+        + np.cos(np.radians(lat1)) * np.cos(np.radians(lat2))
+        * np.sin(np.radians(lon2 - lon1) / 2.0) ** 2
+    )
+    a = np.minimum(1.0, np.maximum(0.0, a))
+    distance = 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(a))
+    return np.where(apart, distance, 0.0)
+
+
+def interval_gap_seconds_array(
+    a_start, a_end, b_start: float, b_end: float
+) -> np.ndarray:
+    """Array twin of :func:`~repro.geo.timeinterval.interval_gap_seconds`."""
+    overlap = (a_start <= b_end) & (b_start <= a_end)
+    gap = np.where(a_end < b_start, b_start - a_end, a_start - b_end)
+    return np.where(overlap, 0.0, gap)
+
+
+def range_similarity_array(
+    term, counts, minimums, maximums, config
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Array twin of :func:`~repro.core.scoring.range_similarity_values`.
+
+    Returns the similarities and a mask of the entries scored through
+    the decay branch (None when none was) — the only one that calls a
+    transcendental; every other entry is bit-identical to the scalar's.
+    """
+    if not term.has_range:
+        return np.ones(len(counts)), None
+    lo = np.full(len(counts), term.low) if term.low is not None else minimums
+    hi = np.full(len(counts), term.high) if term.high is not None else maximums
+    swap = lo > hi
+    lo, hi = np.where(swap, hi, lo), np.where(swap, lo, hi)
+    width = _py_max(hi - lo, 1e-9)
+    overlap_lo = _py_max(lo, minimums)
+    overlap_hi = _py_min(hi, maximums)
+    # Both branches are evaluated everywhere; the one ``np.where``
+    # discards may overflow or divide by zero harmlessly.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        inside = _py_min(1.0, (overlap_hi - overlap_lo) / width + 1e-12)
+        outside = decay_array(
+            (overlap_lo - overlap_hi) / (width * config.range_decay_fraction),
+            config.decay_shape,
+        )
+    overlap = overlap_hi >= overlap_lo
+    unscored = (counts == 0) | np.isnan(minimums)
+    sim = np.where(unscored, 0.0, np.where(overlap, inside, outside))
+    return sim, ~(overlap | unscored)
 
 
 def _append_variables(
@@ -102,7 +306,7 @@ class ColumnarSnapshot:
         "min_lat", "min_lon", "max_lat", "max_lon",
         "t_start", "t_end",
         "var_offsets", "var_name_ids", "var_counts", "var_mins", "var_maxs",
-        "names",
+        "names", "_arrays", "_name_sims",
     )
 
     def __init__(self, features: Iterable, version: int) -> None:
@@ -146,6 +350,8 @@ class ColumnarSnapshot:
         self.var_mins = var_mins
         self.var_maxs = var_maxs
         self.names = names
+        self._arrays: ColumnArrays | None = None
+        self._name_sims: dict = {}
 
     @classmethod
     def freeze(cls, features: Iterable, version: int) -> "ColumnarSnapshot":
@@ -283,6 +489,8 @@ class ColumnarSnapshot:
             view.var_mins = var_mins
             view.var_maxs = var_maxs
             view.names = names
+            view._arrays = None
+            view._name_sims = {}
         if telemetry.enabled:
             telemetry.count("columnar.refreezes")
             telemetry.count("columnar.rows_refrozen", len(changed))
@@ -292,17 +500,57 @@ class ColumnarSnapshot:
     def __len__(self) -> int:
         return len(self.ids)
 
+    def arrays(self) -> ColumnArrays:
+        """Zero-copy read-only numpy views of the columns (built once).
+
+        Two threads racing the first call build equal views over the
+        same buffers; either may win.
+        """
+        arrays = self._arrays
+        if arrays is None:
+            arrays = self._arrays = ColumnArrays(self)
+        return arrays
+
+    def name_similarities(
+        self, term_name: str, expansion: set[str], config
+    ) -> tuple[list[float], np.ndarray]:
+        """:func:`~repro.core.scoring.name_similarity` of one query term
+        against every interned name, as a list (for the scalar kernels)
+        and an array (for the array pass).
+
+        Memoised by content — the term name, its hierarchy expansion
+        and ``name_partial_threshold``, the only inputs the similarity
+        reads — so every query naming the same term skips the
+        Levenshtein work.  Never keyed by object identity: a freed
+        hierarchy's address may be reused by a different one.
+        """
+        key = (term_name, frozenset(expansion), config.name_partial_threshold)
+        memo = self._name_sims
+        sims = memo.get(key)
+        if sims is None:
+            row = [
+                name_similarity(term_name, name, expansion, config)
+                for name in self.names
+            ]
+            sims = (row, np.array(row, dtype=np.float64))
+            if len(memo) >= NAME_SIMS_MEMO_SIZE:
+                memo.clear()
+            memo[key] = sims
+        return sims
+
     # -- pickling ------------------------------------------------------------
     #
     # Snapshots ship to scoring worker processes (serve/procpool.py), so
     # the wire format matters: every column is a flat ``array`` (which
-    # pickles as one bytes blob) and ``row_of`` — a dict as large as the
-    # catalog but fully derived from ``ids`` — is excluded and rebuilt
-    # on unpickle instead of being serialized.
+    # pickles as one bytes blob).  ``row_of`` — a dict as large as the
+    # catalog but fully derived from ``ids`` — the numpy views and the
+    # name-similarity memo are excluded and rebuilt on unpickle instead
+    # of being serialized.
 
     def __getstate__(self) -> dict:
         state = {slot: getattr(self, slot) for slot in self.__slots__}
-        del state["row_of"]
+        for derived in ("row_of", "_arrays", "_name_sims"):
+            del state[derived]
         return state
 
     def __setstate__(self, state: dict) -> None:
@@ -311,39 +559,138 @@ class ColumnarSnapshot:
         self.row_of = {
             dataset_id: row for row, dataset_id in enumerate(self.ids)
         }
+        self._arrays = None
+        self._name_sims = {}
 
 
 class ColumnarScorer:
-    """Scores :class:`ColumnarSnapshot` rows bit-identically to the
-    wrapped :class:`~repro.core.scoring.QueryScorer`.
+    """Scores :class:`ColumnarSnapshot` rows: approximately over arrays
+    (stage 1), and bit-identically to the wrapped
+    :class:`~repro.core.scoring.QueryScorer` row by row (stage 2).
 
     Wraps the query's object scorer so the precomputed term weights,
     hierarchy expansions and use-flags are literally the same values the
     object path divides and prunes with.  The per-(term, interned-name)
-    similarity table is filled eagerly at construction — the interned
-    name table is small (unique variable names across the catalog) and a
+    similarity table comes from the snapshot's content-keyed memo
+    (:meth:`ColumnarSnapshot.name_similarities`) — the interned name
+    table is small (unique variable names across the catalog) and a
     read-only table makes the scorer safe to share across scoring-shard
     threads, unlike the object scorer's lazily-mutated memo dict.
     """
 
-    __slots__ = ("scorer", "view", "_term_sims")
+    __slots__ = ("scorer", "view", "_term_sims", "_term_sim_arrays")
 
     def __init__(self, scorer: QueryScorer, view: ColumnarSnapshot) -> None:
         self.scorer = scorer
         self.view = view
-        config = scorer.config
+        self._term_sims: list[list[float]] = []
+        self._term_sim_arrays: list[np.ndarray] = []
         if scorer._use_variables:
-            self._term_sims = [
-                [
-                    name_similarity(
-                        term.name, name, scorer._expansions[index], config
+            for index, term in enumerate(scorer.query.variables):
+                row, array_row = view.name_similarities(
+                    term.name, scorer._expansions[index], scorer.config
+                )
+                self._term_sims.append(row)
+                self._term_sim_arrays.append(array_row)
+
+    def approximate_totals(
+        self, rows: Sequence[int]
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """Stage 1: every row's total, approximately, in ``rows`` order.
+
+        One array pass over the rows' span of the columns; each value
+        lies within :data:`APPROX_TOLERANCE` of what
+        :meth:`score_row_bounded` returns unbounded.  The second array
+        marks the rows whose value is *bit-identical* to it (None when
+        no row's is): without a location or time term, a row whose
+        variable entries never went through the range decay ran only
+        correctly rounded arithmetic, in the scalar kernels' order.
+        """
+        if isinstance(rows, range) and rows.step == 1:
+            return self._span_totals(rows.start, rows.stop)
+        picked = np.asarray(rows, dtype=np.int64)
+        if len(picked) == 0:
+            return np.zeros(0), None
+        start = int(picked.min())
+        totals, exact = self._span_totals(start, int(picked.max()) + 1)
+        local = picked - start
+        return totals[local], None if exact is None else exact[local]
+
+    def _span_totals(
+        self, start: int, stop: int
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """:meth:`approximate_totals` of the rows ``[start, stop)``."""
+        scorer = self.scorer
+        config = scorer.config
+        query = scorer.query
+        shape = config.decay_shape
+        cols = self.view.arrays()
+        n = max(0, stop - start)
+        if scorer._total_weight <= 0:
+            return np.ones(n), np.ones(n, dtype=bool)
+        exact = None
+        if not (scorer._use_location or scorer._use_time):
+            exact = np.ones(n, dtype=bool)
+        weighted_sum = np.zeros(n)
+        if scorer._use_location:
+            box = (
+                cols.min_lat[start:stop], cols.min_lon[start:stop],
+                cols.max_lat[start:stop], cols.max_lon[start:stop],
+            )
+            if query.location is not None:
+                distance_km = box_distance_km_to_point_array(
+                    *box, query.location.lat, query.location.lon
+                )
+            else:
+                distance_km = box_distance_km_to_box_array(
+                    *box, query.region
+                )
+            weighted_sum += config.location_weight * decay_array(
+                distance_km / config.location_decay_km, shape
+            )
+        if scorer._use_time:
+            interval = query.interval
+            gap_days = interval_gap_seconds_array(
+                cols.t_start[start:stop], cols.t_end[start:stop],
+                interval.start, interval.end,
+            ) / SECONDS_PER_DAY
+            weighted_sum += config.time_weight * decay_array(
+                gap_days / config.time_decay_days, shape
+            )
+        if scorer._use_variables:
+            offsets = cols.var_offsets[start:stop + 1]
+            lo, hi = int(offsets[0]), int(offsets[-1])
+            name_ids = cols.var_name_ids[lo:hi]
+            counts = cols.var_counts[lo:hi]
+            mins = cols.var_mins[lo:hi]
+            maxs = cols.var_maxs[lo:hi]
+            # reduceat over an empty segment returns the element at its
+            # start rather than an identity, so empty rows keep 0.0 and
+            # only non-empty segments are reduced (their starts are
+            # increasing and each runs to the next one's start).
+            filled = offsets[1:] > offsets[:-1]
+            starts = offsets[:-1][filled] - lo
+            for index, term in enumerate(query.variables):
+                name_sims = self._term_sim_arrays[index][name_ids]
+                range_sims, decayed = range_similarity_array(
+                    term, counts, mins, maxs, config
+                )
+                sims = name_sims * range_sims
+                # The scalar loop keeps its best only on ``sim > best``,
+                # so a NaN similarity never wins; zero it here.
+                sims[np.isnan(sims)] = 0.0
+                best = np.zeros(n)
+                if len(starts):
+                    best[filled] = np.maximum.reduceat(sims, starts)
+                weighted_sum += (config.variable_weight * term.weight) * best
+                if exact is not None and decayed is not None:
+                    # Per-row "any decayed entry with a name match",
+                    # from prefix sums (empty rows need no care here).
+                    seen = np.concatenate(
+                        ([0], np.cumsum(decayed & (name_sims != 0.0)))
                     )
-                    for name in view.names
-                ]
-                for index, term in enumerate(scorer.query.variables)
-            ]
-        else:
-            self._term_sims = []
+                    exact &= seen[offsets[1:] - lo] == seen[offsets[:-1] - lo]
+        return weighted_sum / scorer._total_weight, exact
 
     def score_row_bounded(
         self, row: int, floor: tuple[float, str] | None

@@ -1,11 +1,10 @@
 """The ranked search engine and the boolean-filter baseline.
 
 :class:`SearchEngine` is the paper's similarity search over the catalog:
-score every candidate feature, return the top-k with per-term breakdowns.
-Optional :class:`~repro.catalog.index.CatalogIndexes` prune candidates
-for spatial/temporal queries; pruning is conservative at the configured
-``epsilon`` (candidates whose indexed term would score below it may be
-skipped).
+score every dataset, return the top-k with per-term breakdowns.
+Optional :class:`~repro.catalog.index.CatalogIndexes` order the scan for
+spatial/temporal queries: datasets whose indexed term may still score
+above the configured ``epsilon`` are scanned first, the rest after.
 
 :class:`BooleanSearchEngine` is the comparison baseline a conventional
 data portal provides: hard filters, no ranking.  A dataset either matches
@@ -15,11 +14,14 @@ partial matches motivates ranked search.
 
 from __future__ import annotations
 
+import hashlib
 import heapq
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from ..catalog.index import CatalogIndexes
 from ..catalog.records import DatasetFeature
@@ -28,7 +30,7 @@ from ..geo import SECONDS_PER_DAY
 from ..hierarchy import ConceptHierarchy
 from ..obs import current_request, get_telemetry, use_request, use_telemetry
 from .cache import QueryCache
-from .columnar import ColumnarScorer, ColumnarSnapshot
+from .columnar import APPROX_TOLERANCE, ColumnarScorer, ColumnarSnapshot
 from .query import Query
 from .scoring import (
     QueryScorer,
@@ -56,15 +58,14 @@ class SearchResults(list):
 
     Behaves exactly like ``list[SearchResult]`` (existing callers keep
     working) but additionally carries ``total_matches`` — how many
-    datasets are *known* to match beyond the page — and ``truncated``,
-    so a UI can render "showing 10 of N" instead of guessing from
+    datasets match, page included — and ``truncated``, so a UI can
+    render "showing 10 of N" instead of guessing from
     ``len(results) == limit``.
 
-    For the boolean engine the count is exact, as it is for ranked
-    search whenever the page is not full.  Once pruning kicks in (the
-    top-k floor, or index candidate pruning) it is a lower bound:
-    skipped datasets are counted only when their score is provably
-    positive from the cheap terms alone.
+    The count is exact on every path: for the boolean engine it counts
+    datasets matching every term, and for ranked search the datasets
+    scoring above zero (every dataset, for an empty query) — whatever
+    the execution path, shard split, top-k floor or candidate pruning.
 
     Slicing and :meth:`copy` preserve the metadata (``total_matches``
     carries over; ``truncated`` is re-derived for the narrower page), so
@@ -165,32 +166,79 @@ def score_rows_into(
     rows: Sequence[int],
     top: _TopK,
 ) -> int:
-    """Score columnar ``rows`` into the top-k heap; returns known matches.
+    """Score columnar ``rows`` into the top-k heap; returns the exact
+    number of rows scoring above zero.
 
-    The single source of truth for the columnar hot loop: the engine's
+    The single source of truth for the columnar scan: the engine's
     serial path, every scoring-shard thread *and* every scoring worker
-    process (serve/procpool.py) run this exact function, which is what
-    makes the three rungs of the degradation ladder bit-identical.
+    process (serve/procpool.py) run this exact function.  Two stages:
+
+    1. :meth:`ColumnarScorer.approximate_totals` scores every row in
+       one array pass, each total within ``tol`` (:data:`APPROX_TOLERANCE`)
+       of the exact one.
+    2. The scalar :meth:`ColumnarScorer.score_row_bounded` rescores only
+       the rows whose approximate total is >= the k-th best approximate
+       total - 2*tol (or >= the heap's floor - tol).  Any row of the
+       exact top-k qualifies, ties included: the k rows with
+       approximate total >= A_k score exactly >= A_k - tol, so the
+       exact k-th best is >= A_k - tol, and a row reaching it has an
+       approximate total >= A_k - 2*tol.  The page, its scores and
+       breakdowns come from the scalar kernels alone, so they are
+       bit-identical to the object path by construction.
+
+    The match count is exact too: a row whose approximate total is
+    above ``tol`` (or above zero and bit-exact) scores exactly above
+    zero, a bit-exact zero is exactly zero, and every other row at or
+    below ``tol`` gets an exact rescore — so the count does not depend
+    on the floor, the shard split or the execution path.
 
     Results are pushed with ``feature=None`` — only the page's survivors
-    fetch their feature objects (in :meth:`SearchEngine._search`), so
-    the hot loop never touches the feature dict.
+    fetch their feature objects (in :meth:`SearchEngine.search`), so
+    the scan never touches the feature dict.
     """
-    matches = 0
+    approx, exact = cscorer.approximate_totals(rows)
+    if len(approx) == 0:
+        return 0
+    tol = APPROX_TOLERANCE
+    positive = approx > tol
+    unsure = ~positive
+    if exact is not None:
+        positive |= exact & (approx > 0.0)
+        unsure &= ~exact
+    matches = int(np.count_nonzero(positive))
+    # Bit-exact zeros can never make the page (nor can any zero total
+    # of a non-empty query; an empty query's totals are all 1.0).
+    selected = positive | unsure
+    if len(approx) > top.limit:
+        kth = np.partition(approx, len(approx) - top.limit)[
+            len(approx) - top.limit
+        ]
+        threshold = kth - 2.0 * tol
+        floor = top.floor()
+        if floor is not None:
+            threshold = max(threshold, floor[0] - tol)
+        selected &= unsure | (approx >= threshold)
+    rescore = np.flatnonzero(selected).tolist()
+    telemetry = get_telemetry()
+    if telemetry.enabled:
+        telemetry.count("scan.rows_approximated", len(approx))
+        telemetry.count("scan.rows_rescored", len(rescore))
     is_empty = query.is_empty
     ids = cscorer.view.ids
     score_row = cscorer.score_row_bounded
-    floor = top.floor
-    push = top.push
-    for row in rows:
-        breakdown, known_positive = score_row(row, floor())
-        if known_positive:
-            matches += 1
-        if breakdown is None:
-            continue  # provably below the current top-k floor
+    for index in rescore:
+        row = rows[index]
+        if unsure[index]:
+            breakdown, scored_positive = score_row(row, None)
+            if scored_positive:
+                matches += 1
+        else:
+            breakdown, __ = score_row(row, top.floor())
+            if breakdown is None:
+                continue  # provably below the current top-k floor
         if breakdown.total <= 0.0 and not is_empty:
             continue
-        push(
+        top.push(
             SearchResult(
                 dataset_id=ids[row],
                 score=breakdown.total,
@@ -199,6 +247,22 @@ def score_rows_into(
             )
         )
     return matches
+
+
+def hierarchy_digest(hierarchy: ConceptHierarchy | None) -> str | None:
+    """A short content key for ``hierarchy`` (None for no hierarchy).
+
+    A digest of :meth:`~repro.hierarchy.tree.ConceptHierarchy.fingerprint`:
+    O(nodes) to compute, so engines compute it once, and cheap to hash
+    per cache lookup.  Unlike ``id(hierarchy)`` it cannot be reused by a
+    different hierarchy allocated at a freed one's address.
+    """
+    if hierarchy is None:
+        return None
+    digest = hashlib.blake2b(
+        repr(hierarchy.fingerprint()).encode("utf-8"), digest_size=16
+    )
+    return digest.hexdigest()
 
 
 class SearchEngine:
@@ -273,6 +337,17 @@ class SearchEngine:
         # it closes it.
         self.procpool = procpool
 
+    @property
+    def hierarchy(self) -> ConceptHierarchy | None:
+        return self._hierarchy
+
+    @hierarchy.setter
+    def hierarchy(self, hierarchy: ConceptHierarchy | None) -> None:
+        # The cache keys name the hierarchy by content; its key is
+        # computed here, once per assignment, not per query.
+        self._hierarchy = hierarchy
+        self._hierarchy_key = hierarchy_digest(hierarchy)
+
     def close(self) -> None:
         """Release the shard executor if this engine created one."""
         if self._owns_executor and self._executor is not None:
@@ -337,29 +412,6 @@ class SearchEngine:
             self._horizons[key] = horizon
         return horizon
 
-    def _term_weights(self, query: Query) -> tuple[float, float, float]:
-        """(location, time, variables) total weights present in the query
-        under the current config (0 when the term is absent/disabled)."""
-        w_loc = (
-            self.config.location_weight
-            if query.has_spatial and self.config.use_location
-            else 0.0
-        )
-        w_time = (
-            self.config.time_weight
-            if query.has_temporal and self.config.use_time
-            else 0.0
-        )
-        w_vars = (
-            sum(
-                self.config.variable_weight * term.weight
-                for term in query.variables
-            )
-            if query.variables and self.config.use_variables
-            else 0.0
-        )
-        return w_loc, w_time, w_vars
-
     def _prefilter_store(self):
         """The catalog itself when it can prefilter candidates in SQL.
 
@@ -372,34 +424,23 @@ class SearchEngine:
             return self.catalog
         return None
 
-    def _candidate_ids(self, query: Query) -> tuple[list[str], float | None]:
-        """Candidate dataset ids plus an upper bound on the total score
-        any *excluded* dataset could reach (None when nothing was pruned).
-
-        Pruning drops datasets whose indexed term (location or time) has
-        decayed below ``epsilon``; because the total is a weighted mean,
-        such a dataset can still score up to ``(W - w_term (1 - eps))/W``
-        through its other terms.  :meth:`search` uses the bound to decide
-        whether the pruned remainder must be scanned after all.
+    def _candidate_ids(self, query: Query) -> list[str]:
+        """The dataset ids to scan first: a superset of those whose
+        indexed term (location or time) is still above ``epsilon``.
 
         The candidate source is a ladder: current in-memory
         :class:`~repro.catalog.index.CatalogIndexes` when attached, else
         the store's own SQL pushdown prefilter (R*Tree or indexed range
-        scan — see DESIGN note 15), else the unpruned full scan.  Every
-        rung returns a *superset* of the datasets whose indexed term is
-        above epsilon, so the page stays exact regardless of the rung.
+        scan — see DESIGN note 15), else every id.  :meth:`search` scans
+        the pruned remainder right after the candidates — its rows still
+        count toward ``total_matches`` — so the rung orders the scan and
+        never changes the answer.
         """
-        w_loc, w_time, w_vars = self._term_weights(query)
-        total_weight = w_loc + w_time + w_vars
         use_indexes = self._indexes_current()
         pushdown = None if use_indexes else self._prefilter_store()
-        if (not use_indexes and pushdown is None) or total_weight <= 0.0:
-            # No candidate source — or every weight disabled/zero, where
-            # all scores are equal, no term can prune (and the bound
-            # below would divide by zero).
-            return self.catalog.dataset_ids(), None
+        if not use_indexes and pushdown is None:
+            return self.catalog.dataset_ids()
         candidates: set[str] | None = None
-        excluded_bound = 0.0
         if query.location is not None and self.config.use_location:
             # Distance beyond which the location term alone is below
             # epsilon: the query radius plus the decay horizon.
@@ -417,11 +458,6 @@ class SearchEngine:
                 )
             if spatial is not None:  # None: margin covers the globe
                 candidates = spatial
-                excluded_bound = max(
-                    excluded_bound,
-                    (total_weight - w_loc * (1.0 - self.epsilon))
-                    / total_weight,
-                )
         if query.interval is not None and self.config.use_time:
             margin = (
                 self.config.time_decay_days
@@ -440,13 +476,8 @@ class SearchEngine:
                 candidates = (
                     temporal if candidates is None else candidates & temporal
                 )
-                excluded_bound = max(
-                    excluded_bound,
-                    (total_weight - w_time * (1.0 - self.epsilon))
-                    / total_weight,
-                )
         if candidates is None:
-            return self.catalog.dataset_ids(), None
+            return self.catalog.dataset_ids()
         telemetry = get_telemetry()
         if telemetry.enabled:
             telemetry.count(
@@ -461,25 +492,32 @@ class SearchEngine:
                 min(len(candidates), len(all_ids)),
             )
         if len(candidates) >= len(all_ids):
-            return all_ids, None
-        return sorted(candidates), excluded_bound
+            return all_ids
+        return sorted(candidates)
 
     def _score_into(
         self, scorer: QueryScorer, query: Query, ids, top: _TopK
     ) -> int:
-        """Score ``ids`` into the top-k heap; returns known matches."""
+        """Score ``ids`` into the top-k heap; returns the exact number
+        scoring above zero (the object-path twin of
+        :func:`score_rows_into`, pushing ``feature=None`` like it)."""
         matches = 0
         get = self.catalog.get
         is_empty = query.is_empty
         for dataset_id in ids:
             feature = get(dataset_id)
-            breakdown, known_positive = scorer.score_bounded(
+            breakdown, positive = scorer.score_bounded(
                 feature, top.floor()
             )
-            if known_positive:
-                matches += 1
             if breakdown is None:
-                continue  # provably below the current top-k floor
+                # Provably below the current top-k floor; the bounded
+                # score skipped the variable terms, so count it from
+                # the full score.
+                if scorer.score(feature).total > 0.0:
+                    matches += 1
+                continue
+            if positive:
+                matches += 1
             if breakdown.total <= 0.0 and not is_empty:
                 continue
             top.push(
@@ -487,7 +525,7 @@ class SearchEngine:
                     dataset_id=dataset_id,
                     score=breakdown.total,
                     breakdown=breakdown,
-                    feature=feature,
+                    feature=None,
                 )
             )
         return matches
@@ -540,7 +578,7 @@ class SearchEngine:
         top: _TopK,
         view: ColumnarSnapshot,
     ) -> int | None:
-        """Score candidate ids over the columnar view; known matches.
+        """Score candidate ids over the columnar view; exact matches.
 
         Returns None when some id is absent from the view (a staleness
         race) — the caller falls back to the object path.  Sharding
@@ -626,16 +664,14 @@ class SearchEngine:
         top: _TopK,
     ) -> int:
         """Score ``ids`` into ``top``, sharding across threads when the
-        candidate set is large enough; returns known matches.
+        candidate set is large enough; returns exact matches.
 
         Each shard scores through a private :class:`QueryScorer` (its
         name-similarity memo is not shared across threads) and a private
         heap; merging the shard heaps through the global one is exact
         because every global top-``k`` result is necessarily in its own
-        shard's top-``k``.  ``total_matches`` stays a valid lower bound
-        (each shard counts with its own floor), though the exact value
-        may differ from the serial scan's — only the returned page is
-        pinned equal.
+        shard's top-``k``.  Each shard's match count is exact, so their
+        sum is the serial count.
         """
         workers = self._effective_shard_workers(len(ids))
         if workers <= 1:
@@ -672,17 +708,16 @@ class SearchEngine:
         return matches
 
     def _cache_key(self, query: Query, limit: int):
-        # Everything the result depends on.  The hierarchy has no cheap
-        # content fingerprint, so its identity stands in: replacing it
-        # turns into misses (safe), mutating it in place requires an
-        # explicit cache.clear().
+        # Everything the result depends on, by content.  The hierarchy
+        # key is taken when the hierarchy is assigned, so mutating a
+        # hierarchy in place still requires an explicit cache.clear().
         return (
             self.catalog.version,
             query,
             limit,
             self.config,
             self.epsilon,
-            id(self.hierarchy) if self.hierarchy is not None else None,
+            self._hierarchy_key,
         )
 
     def migrate_cache_from(
@@ -703,8 +738,8 @@ class SearchEngine:
         feature objects are structurally shared between the snapshots),
         and a dataset whose total is 0.0 for a non-empty query (a) is
         never placed on the page (``_search`` skips zero totals), and
-        (b) is never counted in ``total_matches`` (``known_positive``
-        requires a positive weighted sum at every prune rung).  So the
+        (b) is never counted in ``total_matches`` (which counts the
+        datasets scoring above zero).  So the
         page membership, order, breakdowns and match count the old
         version computed are all still what the new version would
         compute.  Any positive score on either side conservatively
@@ -718,7 +753,7 @@ class SearchEngine:
         if cache is None or previous.cache is not cache:
             return 0
         if (
-            self.hierarchy is not previous.hierarchy
+            self._hierarchy_key != previous._hierarchy_key
             or self.config != previous.config
             or self.epsilon != previous.epsilon
         ):
@@ -733,9 +768,7 @@ class SearchEngine:
             for feature in pair
             if feature is not None
         ]
-        hierarchy_key = (
-            id(self.hierarchy) if self.hierarchy is not None else None
-        )
+        key_of_hierarchy = self._hierarchy_key
         carried = 0
         scorers: dict[Query, QueryScorer] = {}
         for key, value in cache.items():
@@ -744,7 +777,7 @@ class SearchEngine:
             version, query, limit, config, epsilon, key_hierarchy = key
             if (
                 version != old_version
-                or key_hierarchy != hierarchy_key
+                or key_hierarchy != key_of_hierarchy
                 or config != self.config
                 or epsilon != self.epsilon
             ):
@@ -762,7 +795,7 @@ class SearchEngine:
             ):
                 continue
             cache.put(
-                (new_version, query, limit, config, epsilon, hierarchy_key),
+                (new_version, query, limit, config, epsilon, key_of_hierarchy),
                 value,
             )
             carried += 1
@@ -771,16 +804,19 @@ class SearchEngine:
     def search(self, query: Query, limit: int = 10) -> SearchResults:
         """Top-``limit`` datasets by similarity to ``query``.
 
-        Exact: index pruning is verified against the excluded-score upper
-        bound, the pruned remainder is scanned whenever an excluded
-        dataset could still reach the top-``limit``, and the bounded
+        Exact: candidate pruning never drops a dataset — the pruned
+        remainder goes through the same two-stage scan, whose array
+        pass also counts it into ``total_matches`` — and the bounded
         top-k heap keeps precisely the datasets a full score-and-sort
         would.  Results are sorted by descending score, ties broken by
         dataset id for determinism.
 
         Repeated queries are served from the version-keyed LRU cache
         (when enabled); any catalog mutation bumps the store version and
-        misses past entries.  Treat returned results as immutable.
+        misses past entries.  The cache holds pages without features;
+        every call, hit or miss, attaches fresh ``catalog.get()`` copies
+        of the page's features, so a caller mutating one cannot reach
+        the cache, the catalog or another caller.
 
         Raises:
             ValueError: if ``limit`` is not positive.
@@ -790,11 +826,29 @@ class SearchEngine:
         telemetry = get_telemetry()
         telemetry.count("search.queries")
         with telemetry.span("search.query", limit=limit) as span:
-            results = self._search(query, limit, span)
+            results = self._with_features(self._search(query, limit, span))
         telemetry.observe("search.query_seconds", span.duration)
         return results
 
+    def _with_features(self, page: SearchResults) -> SearchResults:
+        """``page`` with a fresh copy of each result's feature attached."""
+        get = self.catalog.get
+        return SearchResults(
+            (
+                SearchResult(
+                    dataset_id=result.dataset_id,
+                    score=result.score,
+                    breakdown=result.breakdown,
+                    feature=get(result.dataset_id),
+                )
+                for result in page
+            ),
+            total_matches=page.total_matches,
+            truncated=page.truncated,
+        )
+
     def _search(self, query: Query, limit: int, span) -> SearchResults:
+        """The page for ``query`` without features (what the cache holds)."""
         telemetry = get_telemetry()
         context = current_request()
         key = self._cache_key(query, limit)
@@ -816,7 +870,7 @@ class SearchEngine:
             query, hierarchy=self.hierarchy, config=self.config
         )
         with telemetry.span("search.prefilter") as prefilter_span:
-            candidate_ids, excluded_bound = self._candidate_ids(query)
+            candidate_ids = self._candidate_ids(query)
             prefilter_span.set("candidates_in", len(self.catalog))
             prefilter_span.set("candidates_out", len(candidate_ids))
         if context is not None:
@@ -832,50 +886,41 @@ class SearchEngine:
             span.set("candidates", len(candidate_ids))
         top = _TopK(limit)
         view = self.columnar_view()
-        matches: int | None = None
-        if view is not None:
-            matches = self._score_candidates_columnar(
-                scorer, query, candidate_ids, top, view
+        matches = self._score(scorer, query, candidate_ids, top, view)
+        if len(candidate_ids) < len(self.catalog):
+            # The prefilter only orders the scan: the rows it pruned
+            # still count toward total_matches, and after the
+            # candidates the heap's floor keeps their scalar rescore to
+            # rows that can still make the page.
+            remainder = sorted(
+                set(self.catalog.dataset_ids()) - set(candidate_ids)
             )
-            if matches is None:
-                view = None  # staleness race: object path below
-        if matches is None:
-            matches = self._score_candidates(
-                scorer, query, candidate_ids, top
-            )
-        if excluded_bound is not None:
-            floor = top.floor()
-            kth_score = floor[0] if floor is not None else 0.0
-            if kth_score < excluded_bound:
-                telemetry.count("search.prune_rescans")
-                remainder = sorted(
-                    set(self.catalog.dataset_ids()) - set(candidate_ids)
-                )
-                rescanned: int | None = None
-                if view is not None:
-                    rescanned = self._score_candidates_columnar(
-                        scorer, query, remainder, top, view
-                    )
-                if rescanned is None:
-                    rescanned = self._score_candidates(
-                        scorer, query, remainder, top
-                    )
-                matches += rescanned
-        page = top.sorted_results()
-        if any(result.feature is None for result in page):
-            # Columnar hits carry no feature; fetch only the survivors.
-            get = self.catalog.get
-            page = [
-                result if result.feature is not None
-                else replace(result, feature=get(result.dataset_id))
-                for result in page
-            ]
-        results = SearchResults(page, total_matches=matches)
+            matches += self._score(scorer, query, remainder, top, view)
+        results = SearchResults(top.sorted_results(), total_matches=matches)
         if context is not None:
             context.annotate(results=len(results))
         if self.cache is not None:
             self.cache.put(key, results)
         return results
+
+    def _score(
+        self,
+        scorer: QueryScorer,
+        query: Query,
+        ids: Sequence[str],
+        top: _TopK,
+        view: ColumnarSnapshot | None,
+    ) -> int:
+        """Score ``ids`` into ``top`` over the columnar view, or through
+        the object scorer when there is none or it misses an id (a
+        staleness race); returns the exact match count."""
+        if view is not None:
+            matches = self._score_candidates_columnar(
+                scorer, query, ids, top, view
+            )
+            if matches is not None:
+                return matches
+        return self._score_candidates(scorer, query, ids, top)
 
     def stats(self) -> dict:
         """Operational counters: cache hit/miss/eviction, index state."""

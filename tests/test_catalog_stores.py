@@ -181,6 +181,21 @@ class TestSqliteSpecific:
         with pytest.raises(Exception):
             catalog.dataset_ids()
 
+    def test_bulk_read_interns_repeated_strings(self):
+        # A snapshot holds each distinct name/unit/context once; the
+        # values themselves are unchanged.
+        with SqliteCatalog() as catalog:
+            catalog.upsert_many([make_feature("d1"), make_feature("d2")])
+            first, second = catalog.features()
+            assert first == make_feature("d1")
+            assert second == make_feature("d2")
+            for a, b in zip(first.variables, second.variables):
+                for field in (
+                    "written_name", "written_unit", "name", "unit",
+                    "context", "resolution",
+                ):
+                    assert getattr(a, field) is getattr(b, field), field
+
     def test_variable_order_preserved(self):
         with SqliteCatalog() as catalog:
             names = tuple(f"v{i:02d}" for i in range(10))

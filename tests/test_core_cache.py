@@ -11,6 +11,7 @@ from repro.core import (
     VariableTerm,
 )
 from repro.geo import BoundingBox, GeoPoint, TimeInterval
+from repro.hierarchy import ConceptHierarchy
 
 
 def feature(dataset_id, lat, lon, t0=0.0, t1=1000.0,
@@ -162,6 +163,56 @@ class TestEngineCache:
         assert len(one) == 1
         assert len(three) == 3
         assert engine.cache.stats()["misses"] == 2
+
+
+    def test_hits_hand_out_fresh_feature_copies(self, catalog):
+        """The cache holds pages without features; every call attaches
+        fresh copies, so mutating one reaches neither a later hit nor
+        the snapshot."""
+        snapshot = catalog.snapshot()
+        engine = SearchEngine(snapshot)
+        first = engine.search(query())
+        victim = first[0].dataset_id
+        first[0].feature.title = "mutated"
+        first[0].feature.variables.clear()
+        second = engine.search(query())
+        assert engine.cache.stats()["hits"] == 1
+        assert second[0].dataset_id == victim
+        assert second[0].feature is not first[0].feature
+        assert second[0].feature == snapshot.get(victim)
+        assert snapshot.get(victim).title == victim
+        assert snapshot.get(victim).variables
+        assert all(
+            result.feature is None
+            for __, cached in engine.cache.items()
+            for result in cached
+        )
+
+    def test_hierarchy_key_survives_address_reuse(self, catalog):
+        """Regression: cache keys held ``id(hierarchy)``, so a hierarchy
+        allocated at a freed one's address hit the freed one's pages.
+        Keys now hold a content digest.
+
+        The allocator's reuse is not deterministic, so the test builds
+        what an id-keyed cache would see: a new engine over different
+        hierarchy content at the very address that cached a page.
+        """
+        shared = QueryCache()
+        temperature = Query(variables=(VariableTerm("temperature"),))
+        tree = ConceptHierarchy()
+        tree.add("temperature", measurable=False)
+        tree.add("water_temperature", parent="temperature")
+        old = SearchEngine(catalog, hierarchy=tree, cache=shared)
+        assert old.search(temperature)  # matches water_temperature
+        address = id(tree)
+        tree.remove("water_temperature")
+        tree.add("air_temperature", parent="temperature")
+        fresh = SearchEngine(catalog, hierarchy=tree, cache=shared)
+        assert id(fresh.hierarchy) == address
+        expected = SearchEngine(catalog, hierarchy=tree, cache=False)
+        results = fresh.search(temperature)
+        assert list(results) == list(expected.search(temperature)) == []
+        assert shared.hits == 0
 
 
 class TestMicroFixes:

@@ -130,6 +130,14 @@ def page(results):
     ]
 
 
+def exact_matches(engine, query) -> int:
+    """The exact ``total_matches``: datasets scoring above zero."""
+    return sum(
+        1 for score in engine.score_all(query).values()
+        if score > 0.0 or query.is_empty
+    )
+
+
 @given(
     catalog=catalogs(),
     query=queries(),
@@ -142,7 +150,9 @@ def test_columnar_page_equals_object_page(catalog, query, limit):
     expected = objects.search(query, limit=limit)
     actual = columnar.search(query, limit=limit)
     assert page(actual) == page(expected)
-    assert actual.total_matches == expected.total_matches
+    assert actual.total_matches == expected.total_matches == exact_matches(
+        objects, query
+    )
     # The columnar page defers feature materialization; the results the
     # caller sees must still carry real features.
     assert all(r.feature is not None for r in actual)
@@ -164,7 +174,9 @@ def test_columnar_with_indexes_equals_object(catalog, query, limit):
     expected = objects.search(query, limit=limit)
     actual = columnar.search(query, limit=limit)
     assert page(actual) == page(expected)
-    assert actual.total_matches == expected.total_matches
+    assert actual.total_matches == expected.total_matches == exact_matches(
+        objects, query
+    )
 
 
 @given(
