@@ -32,6 +32,7 @@ The full run writes ``BENCH_ingest.json`` at the repository root.
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import os
@@ -301,7 +302,9 @@ def measure_telemetry_overhead(fs: VirtualArchive, repeats: int) -> dict:
     The observability contract: full instrumentation (spans on every
     stage, per-file latency observations, counters) must cost at most a
     few percent of the serial ingest path.  Runs are interleaved so
-    machine noise hits both sides equally; the medians are compared.
+    machine noise hits both sides equally, each starts from a collected
+    heap so one run's garbage is not swept inside the next, and the
+    medians of at least five pairs are compared.
     """
     from repro.obs import Telemetry, use_telemetry
 
@@ -310,6 +313,7 @@ def measure_telemetry_overhead(fs: VirtualArchive, repeats: int) -> dict:
         chain = ProcessChain(
             components=[ScanArchive(workers=1), Publish()]
         )
+        gc.collect()
         if telemetry is None:
             return timed(lambda: chain.run(state))
         with use_telemetry(telemetry):
@@ -317,7 +321,7 @@ def measure_telemetry_overhead(fs: VirtualArchive, repeats: int) -> dict:
 
     base: list[float] = []
     instrumented: list[float] = []
-    for __ in range(max(3, repeats + 1)):
+    for __ in range(max(5, 2 * repeats + 1)):
         base.append(cold_run(None))
         instrumented.append(cold_run(Telemetry()))
     base_s = statistics.median(base)

@@ -16,13 +16,26 @@ from __future__ import annotations
 
 import math
 import re
+from itertools import repeat
 
 from .dataset import Dataset, FileFormat, Platform
 from .observations import InconsistentLengthError, ObservationColumn, ObservationTable
 
 
 class FormatError(ValueError):
-    """Raised when a file cannot be parsed in its claimed format."""
+    """Raised when a file cannot be parsed in its claimed format.
+
+    ``path`` names the file and ``line`` the 1-based line at fault, when
+    the parser knows them.  Both are instance attributes, so they
+    survive the pickling that brings a scan worker's error back whole.
+    """
+
+    def __init__(
+        self, message: str, path: str | None = None, line: int | None = None
+    ) -> None:
+        super().__init__(message)
+        self.path = path
+        self.line = line
 
 
 _CSV_COL_RE = re.compile(r"^(?P<name>.*?)\s*(?:\[(?P<unit>[^\]]*)\])?$")
@@ -41,14 +54,43 @@ def _format_value(value: float) -> str:
     return repr(float(value))
 
 
-def _parse_value(token: str) -> float:
+def _parse_value(token: str, path: str, line: int) -> float:
     token = token.strip()
     if token.lower() in {"nan", ""}:
         return float("nan")
     try:
         return float(token)
     except ValueError:
-        raise FormatError(f"not a number: {token!r}")
+        raise FormatError(
+            f"{path}: line {line}: not a number: {token!r}",
+            path=path,
+            line=line,
+        ) from None
+
+
+def _parse_cells(cells: list[str], path: str, line: int) -> list[float]:
+    """Convert one line's cells: in bulk, or cell by cell on a miss.
+
+    ``float`` gives the same value as ``_parse_value`` for every cell,
+    NaN sign included, and rejects the same malformed cells, plus blank
+    ones, which ``_parse_value`` reads as NaN.  So the per-cell loop
+    only runs for a line holding a blank or malformed cell, and raises
+    the first malformed one's error.
+    """
+    try:
+        return list(map(float, cells))
+    except ValueError:
+        return [_parse_value(cell, path, line) for cell in cells]
+
+
+def _platform(attributes: dict[str, str], path: str) -> Platform:
+    value = attributes.get("platform", Platform.STATION.value)
+    try:
+        return Platform(value)
+    except ValueError:
+        raise FormatError(
+            f"{path}: unknown platform {value!r}", path=path
+        ) from None
 
 
 # --------------------------------------------------------------------------
@@ -92,17 +134,21 @@ def parse_csv(text: str, path: str = "<memory>") -> Dataset:
             attributes[key.strip()] = value.strip()
         i += 1
     if i >= len(lines):
-        raise FormatError(f"{path}: no column header row")
+        raise FormatError(f"{path}: no column header row", path=path)
     names: list[str] = []
     units: list[str] = []
     for cell in lines[i].split(","):
         match = _CSV_COL_RE.match(cell.strip())
         if match is None:  # pragma: no cover - regex matches everything
-            raise FormatError(f"{path}: bad column header {cell!r}")
+            raise FormatError(
+                f"{path}: bad column header {cell!r}", path=path
+            )
         names.append(match.group("name"))
         units.append(match.group("unit") or "")
     if len(names) < 3:
-        raise FormatError(f"{path}: expected time/lat/lon columns")
+        raise FormatError(
+            f"{path}: expected time/lat/lon columns", path=path
+        )
     expected_coords = ("time", "lat", "lon")
     for name, prefix in zip(names, expected_coords):
         if not name.lower().startswith(prefix):
@@ -110,20 +156,13 @@ def parse_csv(text: str, path: str = "<memory>") -> Dataset:
             # not be mistaken for column names.
             raise FormatError(
                 f"{path}: coordinate header {name!r} does not look like "
-                f"{prefix!r} — missing header row?"
+                f"{prefix!r} — missing header row?",
+                path=path,
             )
     i += 1
-    data: list[list[float]] = [[] for __ in names]
-    for line in lines[i:]:
-        if not line.strip():
-            continue
-        cells = line.split(",")
-        if len(cells) != len(names):
-            raise FormatError(
-                f"{path}: row has {len(cells)} cells, header has {len(names)}"
-            )
-        for j, cell in enumerate(cells):
-            data[j].append(_parse_value(cell))
+    data = _csv_columns_bulk(lines[i:], len(names))
+    if data is None:
+        data = _csv_columns(lines, i, len(names), path)
     columns = [
         ObservationColumn(name=names[j], unit=units[j], values=data[j])
         for j in range(3, len(names))
@@ -133,15 +172,55 @@ def parse_csv(text: str, path: str = "<memory>") -> Dataset:
             times=data[0], lats=data[1], lons=data[2], columns=columns
         )
     except InconsistentLengthError as exc:  # pragma: no cover - built equal
-        raise FormatError(f"{path}: {exc}")
-    platform = Platform(attributes.get("platform", Platform.STATION.value))
+        raise FormatError(f"{path}: {exc}", path=path)
     return Dataset(
         path=path,
-        platform=platform,
+        platform=_platform(attributes, path),
         file_format=FileFormat.CSV,
         attributes=attributes,
         table=table,
     )
+
+
+def _csv_columns_bulk(
+    lines: list[str], width: int
+) -> list[list[float]] | None:
+    """The data rows' columns, converted in one pass over all cells.
+
+    Returns None when a row has the wrong width or a cell is not a plain
+    float; :func:`_csv_columns` then raises that row's error (or maps a
+    blank cell to NaN), exactly as it would have alone.
+    """
+    rows = list(filter(str.strip, lines))
+    if not rows:
+        return [[] for __ in range(width)]
+    if set(map(str.count, rows, repeat(","))) != {width - 1}:
+        return None
+    try:
+        values = list(map(float, ",".join(rows).split(",")))
+    except ValueError:
+        return None
+    return [values[j::width] for j in range(width)]
+
+
+def _csv_columns(
+    lines: list[str], start: int, width: int, path: str
+) -> list[list[float]]:
+    """Row-by-row conversion of ``lines[start:]``: the error path."""
+    data: list[list[float]] = [[] for __ in range(width)]
+    for number, line in enumerate(lines[start:], start=start + 1):
+        if not line.strip():
+            continue
+        cells = line.split(",")
+        if len(cells) != width:
+            raise FormatError(
+                f"{path}: row has {len(cells)} cells, header has {width}",
+                path=path,
+                line=number,
+            )
+        for column, value in zip(data, _parse_cells(cells, path, number)):
+            column.append(value)
+    return data
 
 
 # --------------------------------------------------------------------------
@@ -193,7 +272,7 @@ def parse_cdl(text: str, path: str = "<memory>") -> Dataset:
     attributes: dict[str, str] = {}
     data: dict[str, list[float]] = {}
     in_data = False
-    for raw in text.splitlines():
+    for number, raw in enumerate(text.splitlines(), start=1):
         line = raw.rstrip()
         if not line or line in {"}", "variables:"}:
             continue
@@ -207,7 +286,7 @@ def parse_cdl(text: str, path: str = "<memory>") -> Dataset:
             name, __, rest = stripped.partition("=")
             rest = rest.strip().rstrip(";").strip()
             values = (
-                [_parse_value(tok) for tok in rest.split(",")] if rest else []
+                _parse_cells(rest.split(","), path, number) if rest else []
             )
             data[name.strip()] = values
             continue
@@ -226,7 +305,9 @@ def parse_cdl(text: str, path: str = "<memory>") -> Dataset:
             )
     for coord in ("time", "latitude", "longitude"):
         if coord not in data:
-            raise FormatError(f"{path}: missing coordinate {coord!r}")
+            raise FormatError(
+                f"{path}: missing coordinate {coord!r}", path=path
+            )
     columns = [
         ObservationColumn(
             name=name, unit=units.get(name, ""), values=data.get(name, [])
@@ -242,11 +323,10 @@ def parse_cdl(text: str, path: str = "<memory>") -> Dataset:
             columns=columns,
         )
     except InconsistentLengthError as exc:
-        raise FormatError(f"{path}: {exc}")
-    platform = Platform(attributes.get("platform", Platform.STATION.value))
+        raise FormatError(f"{path}: {exc}", path=path)
     return Dataset(
         path=path,
-        platform=platform,
+        platform=_platform(attributes, path),
         file_format=FileFormat.CDL,
         attributes=attributes,
         table=table,
@@ -274,4 +354,4 @@ def parse_file(text: str, path: str) -> Dataset:
         return parse_csv(text, path=path)
     if path.endswith(".cdl"):
         return parse_cdl(text, path=path)
-    raise FormatError(f"unknown file extension: {path!r}")
+    raise FormatError(f"unknown file extension: {path!r}", path=path)

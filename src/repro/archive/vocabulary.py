@@ -62,17 +62,29 @@ UNIT_SYNONYMS: dict[str, tuple[str, ...]] = {
 }
 
 
+def _spelling_index() -> dict[str, str]:
+    """Lowercased spelling -> preferred unit.
+
+    Built in ``UNIT_SYNONYMS`` order, keeping the first family that
+    claims a spelling, so a lookup answers what a scan of the families
+    in order would.
+    """
+    index: dict[str, str] = {}
+    for preferred, spellings in UNIT_SYNONYMS.items():
+        for spelling in spellings:
+            index.setdefault(spelling.lower(), preferred)
+    return index
+
+
+_PREFERRED_BY_SPELLING = _spelling_index()
+
+
 def preferred_unit(unit: str) -> str:
     """Map any known unit spelling to its preferred form.
 
     Unknown units are returned unchanged (the resolver reports them).
     """
-    lowered = unit.strip().lower()
-    for preferred, spellings in UNIT_SYNONYMS.items():
-        for spelling in spellings:
-            if lowered == spelling.lower():
-                return preferred
-    return unit
+    return _PREFERRED_BY_SPELLING.get(unit.strip().lower(), unit)
 
 
 def _v(

@@ -19,6 +19,32 @@ class EmptyDatasetError(ValueError):
     """Raised when a dataset has no rows to summarize."""
 
 
+def _bounding_box(lats: list[float], lons: list[float]) -> BoundingBox:
+    """The box of the coordinate columns, from their ``min``/``max``.
+
+    When every coordinate is finite and in range the box is exactly what
+    the per-point walk gives (both keep the first of equal extremes).
+    Otherwise the walk runs, so the first bad point raises the same
+    error it always did.  A NaN can hide from ``min``/``max`` but not
+    from ``sum``, and in-range values cannot overflow it.
+    """
+    min_lat, max_lat = min(lats), max(lats)
+    min_lon, max_lon = min(lons), max(lons)
+    if (
+        -90.0 <= min_lat
+        and max_lat <= 90.0
+        and -180.0 <= min_lon
+        and max_lon <= 180.0
+        and math.isfinite(sum(lats) + sum(lons))
+    ):
+        return BoundingBox(
+            float(min_lat), float(min_lon), float(max_lat), float(max_lon)
+        )
+    return BoundingBox.from_points(
+        GeoPoint(lat, lon) for lat, lon in zip(lats, lons)
+    )
+
+
 def extract_feature(dataset: Dataset, content_hash: str = "") -> DatasetFeature:
     """Summarize ``dataset`` into a :class:`DatasetFeature`.
 
@@ -32,10 +58,7 @@ def extract_feature(dataset: Dataset, content_hash: str = "") -> DatasetFeature:
     table = dataset.table
     if table.row_count == 0:
         raise EmptyDatasetError(f"{dataset.path}: no rows")
-    points = (
-        GeoPoint(lat, lon) for lat, lon in zip(table.lats, table.lons)
-    )
-    bbox = BoundingBox.from_points(points)
+    bbox = _bounding_box(table.lats, table.lons)
     interval = TimeInterval(min(table.times), max(table.times))
     variables = []
     for column in table.columns:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from ..text import (
-    damerau_levenshtein,
+    damerau_levenshtein_within,
     fingerprint,
     jaro_winkler,
     metaphone,
@@ -122,7 +122,12 @@ def nearest_neighbour_clusters(
         def near(a: str, b: str) -> bool:
             if abs(len(a) - len(b)) > radius:
                 return False
-            return damerau_levenshtein(a, b) <= radius
+            # The distance is an integer no larger than the longer
+            # string, so the bounded kernel answers exactly.
+            limit = max(len(a), len(b))
+            if radius < limit:
+                limit = int(radius)
+            return damerau_levenshtein_within(a, b, limit) <= radius
     elif distance == "jaro-winkler":
         def near(a: str, b: str) -> bool:
             return 1.0 - jaro_winkler(a, b) <= radius

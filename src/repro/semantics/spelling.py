@@ -18,7 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..text import damerau_levenshtein, fingerprint, ngram_fingerprint, normalize_name
+from ..text import (
+    damerau_levenshtein_within,
+    fingerprint,
+    ngram_fingerprint,
+    normalize_name,
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -32,7 +37,12 @@ class SpellingMatch:
 
 
 class MisspellingResolver:
-    """Resolver from messy names to a fixed canonical name set."""
+    """Resolver from messy names to a fixed canonical name set.
+
+    The canonical set and the bounds are fixed at construction, so a
+    verdict depends on the written name alone and is memoised per name:
+    an archive repeats the same few hundred names across its files.
+    """
 
     def __init__(
         self,
@@ -64,9 +74,17 @@ class MisspellingResolver:
             self._by_ngram.setdefault(ngram_fingerprint(name), set()).add(
                 name
             )
+        self._verdicts: dict[str, SpellingMatch | None] = {}
 
     def resolve(self, written: str) -> SpellingMatch | None:
         """Best unambiguous match for ``written``, or None."""
+        try:
+            return self._verdicts[written]
+        except KeyError:
+            match = self._verdicts[written] = self._resolve(written)
+            return match
+
+    def _resolve(self, written: str) -> SpellingMatch | None:
         normalized = normalize_name(written)
         if not normalized:
             return None
@@ -98,7 +116,9 @@ class MisspellingResolver:
         for name in self.canonical_names:
             if abs(len(name) - len(normalized)) > limit:
                 continue
-            d = damerau_levenshtein(normalized, name)
+            # Exact up to the best distance so far (ties included);
+            # anything farther only has to be known to lose.
+            d = damerau_levenshtein_within(normalized, name, best_distance)
             if d < best_distance:
                 best_distance = d
                 best_names = [name]

@@ -2,6 +2,7 @@
 
 from .distance import (
     damerau_levenshtein,
+    damerau_levenshtein_within,
     damerau_similarity,
     dice_coefficient,
     jaro,
@@ -22,6 +23,7 @@ from .tokenize import (
 
 __all__ = [
     "damerau_levenshtein",
+    "damerau_levenshtein_within",
     "damerau_similarity",
     "dice_coefficient",
     "fingerprint",

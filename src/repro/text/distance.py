@@ -82,6 +82,63 @@ def damerau_levenshtein(a: str, b: str) -> int:
     return previous[-1]
 
 
+def damerau_levenshtein_within(a: str, b: str, limit: int) -> int:
+    """:func:`damerau_levenshtein` if it is at most ``limit``, else
+    ``limit + 1``.
+
+    The bounded kernel for callers that only ask "within ``limit``?" or
+    "closer than the best so far?".  An alignment costing at most
+    ``limit`` never leaves the band of cells within ``limit`` of the
+    diagonal, so each row fills only that band; cells outside it hold
+    ``limit + 1``, which can only overstate a cost already past the
+    limit.  The scan stops once a row's minimum exceeds ``limit``: no
+    later row can come back under it.  That holds for transpositions
+    too: one into row ``i + 1`` costs one more than a cell of row
+    ``i - 1``, and the diagonal step from that cell into row ``i``
+    costs at most one, so row ``i`` already holds a cell no dearer.
+
+    Raises:
+        ValueError: for a negative ``limit``.
+    """
+    if limit < 0:
+        raise ValueError("limit must be non-negative")
+    if a == b:
+        return 0
+    len_a = len(a)
+    len_b = len(b)
+    over = limit + 1
+    if abs(len_a - len_b) > limit:
+        return over
+    if not a or not b:
+        return len_a or len_b
+    two_ago: list[int] = []
+    previous = [j if j <= limit else over for j in range(len_b + 1)]
+    for i in range(1, len_a + 1):
+        ca = a[i - 1]
+        current = [over] * (len_b + 1)
+        if i <= limit:
+            current[0] = i
+        for j in range(max(1, i - limit), min(len_b, i + limit) + 1):
+            cb = b[j - 1]
+            best = previous[j - 1] + (ca != cb)
+            cost = previous[j] + 1
+            if cost < best:
+                best = cost
+            cost = current[j - 1] + 1
+            if cost < best:
+                best = cost
+            if i > 1 and j > 1 and ca == b[j - 2] and a[i - 2] == cb:
+                cost = two_ago[j - 2] + 1
+                if cost < best:
+                    best = cost
+            current[j] = best
+        if min(current) > limit:
+            return over
+        two_ago = previous
+        previous = current
+    return min(previous[len_b], over)
+
+
 def levenshtein_similarity(a: str, b: str) -> float:
     """1 - normalized Levenshtein distance; 1.0 for identical strings."""
     if not a and not b:

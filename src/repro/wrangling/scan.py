@@ -76,32 +76,46 @@ def _build_feature(record: ArchiveFile, content_hash: str) -> ScanOutcome:
     whether parse *returns* it or *raises* it anywhere in the unit, so
     the parallel path reports exactly what the serial path reports.
 
-    Per-file outcome counters and the parse-latency histogram go to the
-    *active* telemetry — inside a pool worker that is the worker's
-    private registry (merged back by the parent), serially it is the
-    run's own; either way the totals come out identical.
+    The parse-latency histogram goes to the *active* telemetry — inside
+    a pool worker that is the worker's private registry (merged back by
+    the parent), serially it is the run's own; either way the totals
+    come out identical.
     """
-    telemetry = get_telemetry()
     started = time.monotonic()
     try:
         dataset = parse_file(record.content, record.path)
         feature = extract_feature(dataset, content_hash=content_hash)
     except FormatError as exc:
-        telemetry.count("scan.parse_errors")
         return exc
     except Exception as exc:
-        telemetry.count("scan.worker_failures")
         return WorkerFailure.from_exception(record.path, exc)
-    telemetry.count("scan.parsed")
-    telemetry.observe("scan.file_seconds", time.monotonic() - started)
+    get_telemetry().observe("scan.file_seconds", time.monotonic() - started)
     return feature
 
 
 def _build_chunk(
     chunk: list[tuple[ArchiveFile, str]]
 ) -> list[ScanOutcome]:
-    """Process one chunk of pending files, preserving input order."""
-    return [_build_feature(record, content_hash) for record, content_hash in chunk]
+    """Process one chunk of pending files, preserving input order.
+
+    The per-outcome counters are summed over the chunk and counted once
+    each, as ``ScanArchive.run`` does for ``scan.seen``.
+    """
+    outcomes = [
+        _build_feature(record, content_hash) for record, content_hash in chunk
+    ]
+    telemetry = get_telemetry()
+    if telemetry.enabled:
+        errors = sum(isinstance(o, FormatError) for o in outcomes)
+        failures = sum(isinstance(o, WorkerFailure) for o in outcomes)
+        for name, n in (
+            ("scan.parsed", len(outcomes) - errors - failures),
+            ("scan.parse_errors", errors),
+            ("scan.worker_failures", failures),
+        ):
+            if n:
+                telemetry.count(name, n)
+    return outcomes
 
 
 def _build_chunk_traced(

@@ -1,6 +1,7 @@
 """Unit tests for repro.archive.formats (CSV / CDL round-trips)."""
 
 import math
+import pickle
 
 import pytest
 
@@ -128,6 +129,75 @@ class TestDispatch:
     def test_unknown_extension_raises(self):
         with pytest.raises(FormatError):
             parse_file("whatever", "a/b.xyz")
+
+
+CSV_HEADER = "time [s],latitude [degrees],longitude [degrees],x [m]\n"
+
+CDL_DATA = (
+    "netcdf x {{\nvariables:\n\tdouble x(row) ;\n"
+    "{attrs}data:\n time = 0, 1 ;\n latitude = 46, 46 ;\n"
+    " longitude = -123, -123 ;\n x = {x} ;\n}}\n"
+)
+
+
+class TestErrorsNameTheFile:
+    def test_csv_bad_cell_names_path_and_line(self):
+        text = "# platform: station\n" + CSV_HEADER + "0,46,-123,1\n\n1,46,-123,abc\n"
+        with pytest.raises(FormatError) as excinfo:
+            parse_file(text, "stations/s0.csv")
+        assert excinfo.value.path == "stations/s0.csv"
+        assert excinfo.value.line == 5
+        assert str(excinfo.value) == (
+            "stations/s0.csv: line 5: not a number: 'abc'"
+        )
+
+    def test_cdl_bad_cell_names_path_and_line(self):
+        text = CDL_DATA.format(attrs="", x="1, ?")
+        with pytest.raises(FormatError) as excinfo:
+            parse_file(text, "casts/c0.cdl")
+        assert excinfo.value.path == "casts/c0.cdl"
+        assert excinfo.value.line == 8
+        assert str(excinfo.value) == "casts/c0.cdl: line 8: not a number: '?'"
+
+    def test_ragged_row_names_path_and_line(self):
+        with pytest.raises(FormatError) as excinfo:
+            parse_csv(CSV_HEADER + "0,46,-123,1\n0,46\n", path="a.csv")
+        assert excinfo.value.path == "a.csv"
+        assert excinfo.value.line == 3
+        assert str(excinfo.value) == "a.csv: row has 2 cells, header has 4"
+
+    def test_blank_cells_are_nan_not_errors(self):
+        parsed = parse_csv(CSV_HEADER + "0,46,-123, \n1,46,-123,\n")
+        assert all(math.isnan(v) for v in parsed.table.columns[0].values)
+        parsed = parse_cdl(CDL_DATA.format(attrs="", x="1, "))
+        assert math.isnan(parsed.table.columns[0].values[1])
+
+    @pytest.mark.parametrize("fmt", ["csv", "cdl"])
+    def test_unknown_platform_is_a_format_error(self, fmt):
+        if fmt == "csv":
+            text = "# platform: buoy\n" + CSV_HEADER + "0,46,-123,1\n"
+        else:
+            text = CDL_DATA.format(attrs='\t\t:platform = "buoy" ;\n', x="1, 2")
+        with pytest.raises(FormatError) as excinfo:
+            parse_file(text, f"moorings/m0.{fmt}")
+        assert excinfo.value.path == f"moorings/m0.{fmt}"
+        assert str(excinfo.value) == (
+            f"moorings/m0.{fmt}: unknown platform 'buoy'"
+        )
+
+    def test_structural_errors_carry_the_path(self):
+        with pytest.raises(FormatError) as excinfo:
+            parse_cdl("netcdf x {\ndata:\n time = 1 ;\n}", path="c.cdl")
+        assert excinfo.value.path == "c.cdl"
+        with pytest.raises(FormatError) as excinfo:
+            parse_file("whatever", "a/b.xyz")
+        assert excinfo.value.path == "a/b.xyz"
+
+    def test_path_and_line_survive_pickling(self):
+        error = FormatError("a.csv: line 3: not a number: 'x'", "a.csv", 3)
+        copy = pickle.loads(pickle.dumps(error))
+        assert type(copy) is FormatError
+        assert (str(copy), copy.path, copy.line) == (str(error), "a.csv", 3)
 
 
 class TestGeneratedArchiveRoundTrip:

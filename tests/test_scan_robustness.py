@@ -209,6 +209,26 @@ class TestPerFileFailures:
             serial_state.working
         )
 
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_unknown_platform_quarantines_as_parse_error(self, workers):
+        fs = make_fs(3)
+        fs.put(
+            "stations/s1.csv",
+            tiny_csv(station="s1").replace("platform: station", "platform: buoy"),
+        )
+        state = WranglingState(fs=fs)
+        make_scan(workers=workers, min_parallel_files=1).execute(state)
+        entry = state.quarantine.get("stations/s1.csv")
+        assert entry is not None
+        assert entry.error.code is ErrorCode.PARSE
+        assert entry.error.message == (
+            "stations/s1.csv: unknown platform 'buoy'"
+        )
+        assert sorted(state.working.dataset_ids()) == [
+            "stations/s0.csv",
+            "stations/s2.csv",
+        ]
+
     def test_worker_exception_quarantines_as_worker_error(self, monkeypatch):
         from repro.wrangling import scan as scan_module
 
