@@ -98,64 +98,6 @@ CREATE TABLE IF NOT EXISTS catalog_meta (
 INSERT OR IGNORE INTO catalog_meta (key, value) VALUES ('version', 0);
 """
 
-#: R*Tree pushdown prefilter.  The rtree module keys on integer row ids,
-#: so ``prefilter_map`` assigns each dataset a stable integer and the
-#: triggers keep the rtree in lockstep with ``datasets`` *inside the
-#: same transaction* — a publish batch is never observable with the
-#: prefilter out of sync.  ``_write_feature`` is DELETE-then-INSERT, so
-#: the two triggers also cover updates.  R*Tree stores 32-bit floats
-#: rounded outward (the stored box is a superset of the inserted one),
-#: which keeps the prefilter conservative: extra candidates possible,
-#: missed candidates impossible.
-_RTREE_SCHEMA = """
-CREATE TABLE IF NOT EXISTS prefilter_map (
-    num        INTEGER PRIMARY KEY AUTOINCREMENT,
-    dataset_id TEXT UNIQUE NOT NULL
-);
-CREATE VIRTUAL TABLE IF NOT EXISTS prefilter_rtree USING rtree(
-    id, min_lat, max_lat, min_lon, max_lon
-);
-CREATE TRIGGER IF NOT EXISTS trg_prefilter_insert
-AFTER INSERT ON datasets
-BEGIN
-    INSERT OR IGNORE INTO prefilter_map (dataset_id)
-    VALUES (NEW.dataset_id);
-    INSERT OR REPLACE INTO prefilter_rtree
-    SELECT num, NEW.min_lat, NEW.max_lat, NEW.min_lon, NEW.max_lon
-    FROM prefilter_map WHERE dataset_id = NEW.dataset_id;
-END;
-CREATE TRIGGER IF NOT EXISTS trg_prefilter_delete
-AFTER DELETE ON datasets
-BEGIN
-    DELETE FROM prefilter_rtree WHERE id = (
-        SELECT num FROM prefilter_map WHERE dataset_id = OLD.dataset_id
-    );
-    DELETE FROM prefilter_map WHERE dataset_id = OLD.dataset_id;
-END;
-"""
-
-#: Re-sync the rtree with ``datasets`` at open time.  A file-backed
-#: catalog may have been written by a process running without the
-#: prefilter (no triggers): purge entries for datasets that vanished,
-#: then register datasets the rtree has never seen.  Idempotent, and a
-#: no-op on a catalog that was maintained by the triggers throughout.
-_RTREE_BACKFILL = """
-DELETE FROM prefilter_rtree WHERE id IN (
-    SELECT num FROM prefilter_map
-    WHERE dataset_id NOT IN (SELECT dataset_id FROM datasets)
-);
-DELETE FROM prefilter_map
-WHERE dataset_id NOT IN (SELECT dataset_id FROM datasets);
-INSERT INTO prefilter_map (dataset_id)
-SELECT dataset_id FROM datasets
-WHERE dataset_id NOT IN (SELECT dataset_id FROM prefilter_map);
-INSERT OR REPLACE INTO prefilter_rtree
-SELECT m.num, d.min_lat, d.max_lat, d.min_lon, d.max_lon
-FROM datasets AS d
-JOIN prefilter_map AS m ON m.dataset_id = d.dataset_id
-WHERE m.num NOT IN (SELECT id FROM prefilter_rtree);
-"""
-
 
 class SqliteCatalog(CatalogStore):
     """A :class:`CatalogStore` persisted in SQLite.
@@ -170,7 +112,6 @@ class SqliteCatalog(CatalogStore):
         busy_timeout_ms: int = 5000,
         *,
         enable_prefilter: bool = True,
-        enable_rtree: bool = True,
     ) -> None:
         # One shared connection, guarded by ``_lock`` (below) instead of
         # sqlite3's same-thread check: the serving layer snapshots from
@@ -196,58 +137,27 @@ class SqliteCatalog(CatalogStore):
             )
         self._conn.executescript(_SCHEMA)
         self._conn.commit()
-        # Pushdown prefilter: "rtree" when the R*Tree module is compiled
-        # in and requested, else "range" (the indexed min/max columns on
-        # ``datasets`` itself), else "none".  Degradation is handled at
-        # open time so a catalog written with rtree triggers keeps
-        # accepting writes when reopened by a build without the module.
-        self._prefilter_mode = "none"
-        if enable_prefilter:
-            self._init_prefilter(enable_rtree)
-        else:
-            self._drop_rtree_artifacts()
+        # Catalog files written by older builds carry R*Tree triggers
+        # that double the cost of every ``datasets`` write; drop them.
+        self._drop_rtree_artifacts()
+        # Pushdown prefilter: indexed min/max range scans over
+        # ``datasets`` itself ("range"), or "none" when disabled.
+        self._prefilter_mode = "range" if enable_prefilter else "none"
 
     # -- pushdown prefilter ---------------------------------------------------
 
     @property
     def prefilter_mode(self) -> str:
-        """Active pushdown mode: ``"rtree"``, ``"range"`` or ``"none"``."""
+        """Active pushdown mode: ``"range"`` or ``"none"``."""
         return self._prefilter_mode
 
-    def _rtree_available(self) -> bool:
-        """Probe whether this SQLite build compiled in the rtree module."""
-        try:
-            self._conn.execute(
-                "CREATE VIRTUAL TABLE temp.rtree_probe "
-                "USING rtree(id, x0, x1)"
-            )
-        except sqlite3.OperationalError:
-            return False
-        self._conn.execute("DROP TABLE temp.rtree_probe")
-        return True
-
-    def _init_prefilter(self, enable_rtree: bool) -> None:
-        if enable_rtree:
-            if self._rtree_available():
-                self._conn.executescript(_RTREE_SCHEMA)
-                self._conn.executescript(_RTREE_BACKFILL)
-                self._conn.commit()
-                self._prefilter_mode = "rtree"
-                return
-            # One-time (per store) degradation signal; the health report
-            # surfaces it so an unexpectedly rtree-less build is visible.
-            get_telemetry().count("prefilter.rtree_unavailable")
-        self._drop_rtree_artifacts()
-        self._prefilter_mode = "range"
-
     def _drop_rtree_artifacts(self) -> None:
-        """Remove rtree triggers/tables left by a previous rtree session.
+        """Remove the R*Tree prefilter tables and triggers of old builds.
 
-        The triggers are the dangerous remnant: they reference the
-        virtual table on every write, so with the rtree module missing
-        every publish would fail.  Dropping the virtual table itself
-        also needs the module — when that fails the orphaned table is
-        left behind, inert now that the triggers are gone.
+        The triggers are the costly remnant: they mirror every write
+        into the virtual table.  Dropping the virtual table itself needs
+        the rtree module — when that fails the orphaned table is left
+        behind, inert now that the triggers are gone.
         """
         self._conn.execute("DROP TRIGGER IF EXISTS trg_prefilter_insert")
         self._conn.execute("DROP TRIGGER IF EXISTS trg_prefilter_delete")
@@ -263,9 +173,9 @@ class SqliteCatalog(CatalogStore):
     ) -> set[str] | None:
         """Ids whose box may lie within ``radius_km`` of ``point``.
 
-        Runs inside SQLite — against the R*Tree when available, else the
-        ``idx_datasets_bbox`` composite index.  Same conservative degree
-        margins as :meth:`SpatialGridIndex.candidates_near` (shared via
+        Runs inside SQLite against the ``idx_datasets_bbox`` composite
+        index, with the same conservative degree margins as
+        :meth:`SpatialGridIndex.candidates_near` (shared via
         :func:`spatial_query_margins`); returns ``None`` when the margin
         covers the globe, i.e. no spatial constraint at all.
         """
@@ -278,23 +188,13 @@ class SqliteCatalog(CatalogStore):
         hi_lat = min(90.0, point.lat + lat_margin)
         lo_lon = max(-180.0, point.lon - lon_margin)
         hi_lon = min(180.0, point.lon + lon_margin)
-        params = (hi_lat, lo_lat, hi_lon, lo_lon)
         with self._lock:
-            if self._prefilter_mode == "rtree":
-                rows = self._conn.execute(
-                    "SELECT m.dataset_id FROM prefilter_rtree AS r "
-                    "JOIN prefilter_map AS m ON m.num = r.id "
-                    "WHERE r.min_lat <= ? AND r.max_lat >= ? "
-                    "AND r.min_lon <= ? AND r.max_lon >= ?",
-                    params,
-                ).fetchall()
-            else:
-                rows = self._conn.execute(
-                    "SELECT dataset_id FROM datasets "
-                    "WHERE min_lat <= ? AND max_lat >= ? "
-                    "AND min_lon <= ? AND max_lon >= ?",
-                    params,
-                ).fetchall()
+            rows = self._conn.execute(
+                "SELECT dataset_id FROM datasets "
+                "WHERE min_lat <= ? AND max_lat >= ? "
+                "AND min_lon <= ? AND max_lon >= ?",
+                (hi_lat, lo_lat, hi_lon, lo_lon),
+            ).fetchall()
         return {row[0] for row in rows}
 
     def prefilter_candidates_overlapping(

@@ -263,6 +263,16 @@ class CatalogStore(ABC):
         for dataset_id in self.dataset_ids():
             yield self.get(dataset_id)
 
+    def shared_features(self) -> Iterator[DatasetFeature]:
+        """Features for read-only consumers, in ``dataset_ids()`` order.
+
+        A mutable store hands out copies, as :meth:`features` does; an
+        immutable :class:`CatalogSnapshot` hands out its own objects, so
+        index builds over a snapshot copy nothing.  Callers must not
+        mutate what they get.
+        """
+        return self.features()
+
     def __iter__(self) -> Iterator[DatasetFeature]:
         return self.features()
 
@@ -427,6 +437,21 @@ class CatalogSnapshot(CatalogStore):
         for dataset_id in self._ids:
             yield self._features[dataset_id].copy()
 
+    def shared_features(
+        self, dataset_ids: Iterable[str] | None = None
+    ) -> Iterator[DatasetFeature]:
+        """The snapshot's own feature objects, without defensive copies
+        (sound because nothing can write through a snapshot): all of
+        them in id order, or just the listed ids that exist."""
+        features = self._features
+        if dataset_ids is None:
+            return (features[dataset_id] for dataset_id in self._ids)
+        return (
+            features[dataset_id]
+            for dataset_id in dataset_ids
+            if dataset_id in features
+        )
+
     def contains(self, dataset_id: str) -> bool:
         return dataset_id in self._features
 
@@ -448,9 +473,10 @@ class CatalogSnapshot(CatalogStore):
         are shared for every id the delta did not touch.  Sharing is
         sound because snapshots are immutable end to end: every mutator
         raises :class:`SnapshotMutationError`, every read
-        (:meth:`get`/:meth:`features`) returns copies, and the stores
-        that build snapshots store copies themselves — no path exists
-        by which either snapshot's objects can be written through.
+        (:meth:`get`/:meth:`features`) returns copies or, for
+        :meth:`shared_features`, objects its callers only read, and the
+        stores that build snapshots store copies themselves — no path
+        exists by which either snapshot's objects can be written through.
 
         The caller is responsible for the delta actually spanning
         ``self.version -> version`` (the store's ``snapshot_cow``

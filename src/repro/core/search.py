@@ -359,7 +359,7 @@ class SearchEngine:
         """Build (and attach) fresh indexes over the current catalog."""
         with get_telemetry().span("index.build", size=len(self.catalog)):
             self.indexes = CatalogIndexes.build(
-                list(self.catalog),
+                list(self.catalog.shared_features()),
                 cell_degrees=cell_degrees,
                 catalog_version=self.catalog.version,
             )
@@ -385,7 +385,7 @@ class SearchEngine:
             removed=removed,
             updated=updated,
             catalog_version=self.catalog.version,
-            rebuild_from=self.catalog,
+            rebuild_from=self.catalog.shared_features(),
         )
 
     def _indexes_current(self) -> bool:
@@ -430,8 +430,8 @@ class SearchEngine:
 
         The candidate source is a ladder: current in-memory
         :class:`~repro.catalog.index.CatalogIndexes` when attached, else
-        the store's own SQL pushdown prefilter (R*Tree or indexed range
-        scan — see DESIGN note 15), else every id.  :meth:`search` scans
+        the store's own SQL pushdown prefilter (an indexed range scan —
+        see DESIGN note 15), else every id.  :meth:`search` scans
         the pruned remainder right after the candidates — its rows still
         count toward ``total_matches`` — so the rung orders the scan and
         never changes the answer.

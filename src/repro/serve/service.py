@@ -240,17 +240,15 @@ class SearchService:
                 indexes = None
                 upserted_features = []
                 if used_delta:
-                    upserted_features = [
-                        snapshot.get(dataset_id)
-                        for dataset_id in delta.upserted
-                        if snapshot.contains(dataset_id)
-                    ]
+                    upserted_features = list(
+                        snapshot.shared_features(delta.upserted)
+                    )
                     if previous.indexes is not None:
                         indexes = previous.indexes.copy().apply(
                             updated=upserted_features,
                             removed=delta.removed,
                             catalog_version=snapshot.version,
-                            rebuild_from=snapshot,
+                            rebuild_from=snapshot.shared_features(),
                         )
                 engine = SearchEngine(
                     snapshot,

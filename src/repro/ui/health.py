@@ -181,11 +181,6 @@ def render_telemetry_report(snapshot: dict) -> str:
                 f"{python_side} python, kept {cand_out}/{cand_in} "
                 f"candidates ({kept:.0%})"
             )
-        if counters.get("prefilter.rtree_unavailable"):
-            lines.append(
-                "  prefilter: sqlite rtree module unavailable — "
-                "degraded to indexed range scans"
-            )
         pooled = counters.get("procpool.queries", 0)
         pool_degraded = counters.get("procpool.degraded", 0)
         pool_stale = counters.get("procpool.stale_miss", 0)

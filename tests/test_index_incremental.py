@@ -8,8 +8,11 @@ from repro.catalog import (
     IntervalIndex,
     VariableEntry,
 )
+from repro.catalog import SqliteCatalog
 from repro.catalog.index import REBUILD_CHURN_FRACTION
 from repro.geo import BoundingBox, GeoPoint, TimeInterval
+from repro.serve.service import SearchService, ServeConfig
+from repro.wrangling.state import PublishDelta
 
 
 def make_feature(i, rng):
@@ -154,3 +157,73 @@ class TestIntervalIncremental:
         assert len(index._starts) == 2
         assert all(did != "b" for __, did in index._starts)
         assert all(did != "b" for __, did in index._ends)
+
+
+class TestCopyFreeIndexing:
+    """Serving indexes read a snapshot's own feature objects: building
+    them copies no feature, and they equal indexes built from copies."""
+
+    SIZE = 200
+
+    @staticmethod
+    def _count_copies(monkeypatch) -> list:
+        calls = []
+        real_copy = DatasetFeature.copy
+
+        def counting_copy(self):
+            calls.append(self.dataset_id)
+            return real_copy(self)
+
+        monkeypatch.setattr(DatasetFeature, "copy", counting_copy)
+        return calls
+
+    def _service(self, store):
+        return SearchService(
+            store,
+            config=ServeConfig(max_concurrency=1, queue_depth=0,
+                               warm_queries=0),
+        )
+
+    def test_cold_service_build_copies_nothing(self, monkeypatch):
+        rng = random.Random(31)
+        with SqliteCatalog() as store:
+            store.upsert_many(make_feature(i, rng) for i in range(self.SIZE))
+            calls = self._count_copies(monkeypatch)
+            service = self._service(store)
+            try:
+                assert calls == []
+                indexes = service._engine.indexes
+                assert len(indexes) == self.SIZE
+                copied = CatalogIndexes.build(list(store.snapshot()))
+                assert calls  # the reference really did copy
+                assert_equivalent(indexes, copied, random.Random(37))
+            finally:
+                service.close()
+
+    def test_rebuilding_refresh_copies_nothing(self, monkeypatch):
+        rng = random.Random(41)
+        with SqliteCatalog() as store:
+            store.upsert_many(make_feature(i, rng) for i in range(self.SIZE))
+            service = self._service(store)
+            try:
+                moved = [make_feature(i, rng) for i in range(120)]
+                assert len(moved) > REBUILD_CHURN_FRACTION * self.SIZE
+                base = store.version
+                store.apply_batch(moved, ())
+                delta = PublishDelta(
+                    upserted=[f.dataset_id for f in moved],
+                    base_version=base,
+                    published_version=store.version,
+                )
+                calls = self._count_copies(monkeypatch)
+                assert service.refresh(delta=delta) is True
+                assert calls == []
+                assert service.telemetry.counter(
+                    "refresh.delta_applied"
+                ) == 1
+                indexes = service._engine.indexes
+                assert indexes.catalog_version == store.version
+                copied = CatalogIndexes.build(list(store.snapshot()))
+                assert_equivalent(indexes, copied, random.Random(43))
+            finally:
+                service.close()

@@ -1,13 +1,12 @@
-"""SQLite pushdown prefilter: capability probe, degradation, exactness.
+"""SQLite pushdown prefilter: modes, legacy files, exactness.
 
-The prefilter ladder (DESIGN note 15): R*Tree when the SQLite build
-compiled the module in, else indexed min/max range scans over the
-``datasets`` table, else the engine's in-memory
+The prefilter ladder (DESIGN note 15): indexed min/max range scans over
+the ``datasets`` table, else the engine's in-memory
 :class:`~repro.catalog.index.CatalogIndexes`, else an unpruned full
 scan.  Every rung must return a *superset* of the datasets whose
-indexed term is above epsilon — these tests pin the probe, the
-trigger-maintained rtree lockstep, the reopen-without-rtree survival
-path and the end-to-end exactness of pages served through each rung.
+indexed term is above epsilon — these tests pin that, the reopening of
+catalog files written by older builds with the R*Tree prefilter, and
+the end-to-end exactness of pages served through each rung.
 """
 
 from __future__ import annotations
@@ -41,6 +40,36 @@ HAS_RTREE = _build_has_rtree()
 needs_rtree = pytest.mark.skipif(
     not HAS_RTREE, reason="sqlite built without the rtree module"
 )
+
+#: The R*Tree prefilter older builds kept beside ``datasets``: an
+#: integer key map, the virtual table, and two triggers mirroring every
+#: ``datasets`` write into it.
+_LEGACY_RTREE_SCHEMA = """
+CREATE TABLE IF NOT EXISTS prefilter_map (
+    num        INTEGER PRIMARY KEY AUTOINCREMENT,
+    dataset_id TEXT UNIQUE NOT NULL
+);
+CREATE VIRTUAL TABLE IF NOT EXISTS prefilter_rtree USING rtree(
+    id, min_lat, max_lat, min_lon, max_lon
+);
+CREATE TRIGGER IF NOT EXISTS trg_prefilter_insert
+AFTER INSERT ON datasets
+BEGIN
+    INSERT OR IGNORE INTO prefilter_map (dataset_id)
+    VALUES (NEW.dataset_id);
+    INSERT OR REPLACE INTO prefilter_rtree
+    SELECT num, NEW.min_lat, NEW.max_lat, NEW.min_lon, NEW.max_lon
+    FROM prefilter_map WHERE dataset_id = NEW.dataset_id;
+END;
+CREATE TRIGGER IF NOT EXISTS trg_prefilter_delete
+AFTER DELETE ON datasets
+BEGIN
+    DELETE FROM prefilter_rtree WHERE id = (
+        SELECT num FROM prefilter_map WHERE dataset_id = OLD.dataset_id
+    );
+    DELETE FROM prefilter_map WHERE dataset_id = OLD.dataset_id;
+END;
+"""
 
 
 def make_feature(
@@ -77,84 +106,119 @@ def spread_features(count: int) -> list[DatasetFeature]:
     ]
 
 
+def write_legacy_catalog(path: str, features: list[DatasetFeature]) -> None:
+    """A catalog file as older builds left it: the R*Tree prefilter
+    schema installed and every dataset written through its triggers."""
+    SqliteCatalog(path).close()  # the current tables
+    conn = sqlite3.connect(path)
+    try:
+        conn.executescript(_LEGACY_RTREE_SCHEMA)
+        with conn:
+            for feature in features:
+                conn.execute(
+                    "INSERT INTO datasets VALUES "
+                    "(?,?,?,?,?,?,?,?,?,?,?,?,?,?)",
+                    SqliteCatalog._dataset_row(feature),
+                )
+                conn.executemany(
+                    "INSERT INTO variables VALUES "
+                    "(?,?,?,?,?,?,?,?,?,?,?,?,?,?,?)",
+                    SqliteCatalog._variable_rows(feature),
+                )
+            conn.execute(
+                "UPDATE catalog_meta SET value = value + 1 "
+                "WHERE key = 'version'"
+            )
+        (mirrored,) = conn.execute(
+            "SELECT COUNT(*) FROM prefilter_rtree"
+        ).fetchone()
+        assert mirrored == len(features)  # the triggers really fired
+    finally:
+        conn.close()
+
+
+def catalog_for(tmp_path, features: list[DatasetFeature], legacy: bool):
+    """A file-backed catalog holding ``features``, written either by the
+    current build or through an older build's R*Tree triggers."""
+    path = str(tmp_path / ("legacy.db" if legacy else "fresh.db"))
+    if legacy:
+        write_legacy_catalog(path, features)
+        return SqliteCatalog(path)
+    store = SqliteCatalog(path)
+    store.upsert_many(features)
+    return store
+
+
 class TestCapabilityProbe:
     def test_default_mode_matches_build(self):
         with SqliteCatalog() as store:
-            assert store.prefilter_mode == (
-                "rtree" if HAS_RTREE else "range"
-            )
-
-    def test_rtree_opt_out_gives_range(self):
-        with SqliteCatalog(enable_rtree=False) as store:
             assert store.prefilter_mode == "range"
 
     def test_prefilter_opt_out_gives_none(self):
         with SqliteCatalog(enable_prefilter=False) as store:
             assert store.prefilter_mode == "none"
 
-    def test_missing_rtree_degrades_to_range_and_counts(self, monkeypatch):
-        monkeypatch.setattr(
-            SqliteCatalog, "_rtree_available", lambda self: False
-        )
-        telemetry = Telemetry()
-        with use_telemetry(telemetry):
-            with SqliteCatalog() as store:
-                assert store.prefilter_mode == "range"
-        assert telemetry.counter("prefilter.rtree_unavailable") == 1
 
-
+@needs_rtree
 class TestDegradationSurvival:
-    @needs_rtree
-    def test_reopen_without_rtree_keeps_writes_working(
-        self, tmp_path, monkeypatch
-    ):
-        path = str(tmp_path / "catalog.db")
-        with SqliteCatalog(path) as store:
-            assert store.prefilter_mode == "rtree"
-            store.upsert_many(spread_features(8))
-        # Reopen as if this build had no rtree module: the remnant
-        # triggers reference the virtual table and must be dropped or
-        # every subsequent write would fail.
-        monkeypatch.setattr(
-            SqliteCatalog, "_rtree_available", lambda self: False
-        )
-        with SqliteCatalog(path) as store:
-            assert store.prefilter_mode == "range"
-            store.upsert(make_feature(99))
-            store.remove("ds_000")
-            assert len(store) == 8
-            found = store.prefilter_candidates_near(
-                GeoPoint(45.2, -123.8), 100.0
-            )
-            assert found is not None and "ds_099" in found
+    """A catalog file written by an older build with the R*Tree
+    prefilter: reopening drops the triggers and tables, and the file
+    serves and accepts writes like one the current build wrote."""
 
-    @needs_rtree
-    def test_reopen_with_rtree_backfills_unmaintained_edits(self, tmp_path):
+    def _schema(self, store: SqliteCatalog) -> list[tuple[str, str]]:
+        with store._lock:
+            return store._conn.execute(
+                "SELECT type, name FROM sqlite_master "
+                "WHERE type = 'trigger' OR name LIKE 'prefilter_%'"
+            ).fetchall()
+
+    def test_reopen_without_rtree_keeps_writes_working(self, tmp_path):
         path = str(tmp_path / "catalog.db")
+        write_legacy_catalog(path, spread_features(8))
         with SqliteCatalog(path) as store:
-            store.upsert_many(spread_features(6))
-        # Edit through a connection with the prefilter disabled (no
-        # triggers): the rtree goes stale on disk.
-        with SqliteCatalog(path, enable_prefilter=False) as store:
-            store.remove("ds_001")
-            store.upsert(make_feature(50, lat=45.0, lon=-124.0))
-        # Reopening with the prefilter re-syncs rtree with datasets.
+            assert self._schema(store) == []
+            assert store.prefilter_mode == "range"
+            assert store.upsert_many([make_feature(90), make_feature(91)]) == 2
+            assert store.apply_batch(
+                upserts=[make_feature(3, lat=50.0, lon=-90.0)],
+                removals=["ds_004"],
+            ) == (1, 1)
+            assert store.remove_many(["ds_005", "ds_006"]) == 2
+            assert len(store) == 7
+            assert store.replace_all(spread_features(5)) == 5
+            assert store.dataset_ids() == [f"ds_{i:03d}" for i in range(5)]
+        # The migration sticks: a later open finds nothing to drop.
         with SqliteCatalog(path) as store:
-            assert store.prefilter_mode == "rtree"
-            found = store.prefilter_candidates_near(
-                GeoPoint(0.0, 0.0), 25000.0
-            )
-            if found is None:  # margin covered the globe
-                return
-            assert found == set(store.dataset_ids())
+            assert self._schema(store) == []
+            assert len(store) == 5
+
+    def test_legacy_file_serves_like_a_fresh_one(self, tmp_path):
+        features = spread_features(40)
+        query = Query(
+            location=GeoPoint(44.0, -122.0), radius_km=150.0,
+            interval=TimeInterval(2e6, 4e6),
+            variables=(VariableTerm(name="salinity"),),
+        )
+        pages = []
+        for legacy in (True, False):
+            with catalog_for(tmp_path, features, legacy) as store:
+                engine = SearchEngine(store, cache=False)
+                results = engine.search(query, limit=10)
+                pages.append((
+                    [(r.dataset_id, r.score, r.breakdown) for r in results],
+                    results.total_matches,
+                ))
+        assert pages[0] == pages[1]
+        assert pages[0][0]  # the query does match something
 
 
 class TestConservativeSuperset:
-    @pytest.mark.parametrize("enable_rtree", [True, False])
-    def test_spatial_superset_of_truth(self, enable_rtree):
-        with SqliteCatalog(enable_rtree=enable_rtree) as store:
-            features = spread_features(40)
-            store.upsert_many(features)
+    @pytest.mark.parametrize("legacy", [True, False])
+    def test_spatial_superset_of_truth(self, tmp_path, legacy):
+        if legacy and not HAS_RTREE:
+            pytest.skip("sqlite built without the rtree module")
+        features = spread_features(40)
+        with catalog_for(tmp_path, features, legacy) as store:
             point = GeoPoint(44.0, -120.0)
             for radius in (10.0, 300.0, 2000.0):
                 found = store.prefilter_candidates_near(point, radius)
@@ -203,37 +267,6 @@ class TestConservativeSuperset:
                 )
 
 
-class TestTriggerLockstep:
-    """The rtree mirrors ``datasets`` through every mutation primitive."""
-
-    def _everything(self, store: SqliteCatalog) -> set[str]:
-        with store._lock:
-            rows = store._conn.execute(
-                "SELECT m.dataset_id FROM prefilter_rtree AS r "
-                "JOIN prefilter_map AS m ON m.num = r.id"
-            ).fetchall()
-        return {row[0] for row in rows}
-
-    @needs_rtree
-    def test_upsert_remove_batch_replace_clear(self):
-        with SqliteCatalog() as store:
-            assert store.prefilter_mode == "rtree"
-            store.upsert_many(spread_features(10))
-            assert self._everything(store) == set(store.dataset_ids())
-            store.upsert(make_feature(3, lat=50.0, lon=-90.0))  # update
-            store.remove("ds_004")
-            assert self._everything(store) == set(store.dataset_ids())
-            store.apply_batch(
-                upserts=[make_feature(20), make_feature(21)],
-                removals=["ds_005", "ds_006"],
-            )
-            assert self._everything(store) == set(store.dataset_ids())
-            store.replace_all(spread_features(5))
-            assert self._everything(store) == set(store.dataset_ids())
-            store.clear()
-            assert self._everything(store) == set()
-
-
 class TestEngineLadder:
     def _queries(self) -> list[Query]:
         return [
@@ -263,8 +296,7 @@ class TestEngineLadder:
         expected = self._pages(baseline)
 
         for store in (
-            SqliteCatalog(),                        # rtree (or range)
-            SqliteCatalog(enable_rtree=False),      # range
+            SqliteCatalog(),                        # range
             SqliteCatalog(enable_prefilter=False),  # none: full scan
         ):
             with store:
