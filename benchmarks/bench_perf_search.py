@@ -6,15 +6,14 @@ latency along the axes the fast path optimizes:
 * **naive** — score every dataset with :func:`score_feature`, sort the
   full result list (the pre-fast-path cost model: per-feature term
   expansion, no memoization, no pruning, no heap, no cache),
-* **cold**  — the fast path (columnar scan over the frozen facet
-  columns, indexes built) with an empty query cache,
+* **cold**  — the fast path (one columnar pass over the frozen facet
+  columns) with an empty query cache,
 * **object-cold** — the same fast path with the columnar scan disabled
   (per-feature object traversal); cold / object-cold isolates the
   columnar win,
 * **warm**  — the same query repeated (version-keyed cache hit),
-* **post-edit** — one dataset mutated, indexes refreshed incrementally,
-  the query re-issued (cache miss + index maintenance + one columnar
-  re-freeze).
+* **post-edit** — one dataset mutated, the query re-issued (cache
+  miss + one columnar re-freeze).
 
 The pruned-exactness contract is asserted inside the run: fast-path
 results — columnar AND object — must be identical (ids, scores, order)
@@ -177,9 +176,7 @@ def run(n_datasets: int, n_queries: int, repeats: int, limit: int) -> dict:
     queries = synthetic_queries(n_queries, seed=31)
 
     engine = SearchEngine(catalog, hierarchy=hierarchy)
-    engine.build_indexes()
     object_engine = SearchEngine(catalog, hierarchy=hierarchy, columnar=False)
-    object_engine.build_indexes()
     config = engine.config
 
     # -- exactness gate ----------------------------------------------------
@@ -253,7 +250,6 @@ def run(n_datasets: int, n_queries: int, repeats: int, limit: int) -> dict:
             44.0 + 0.001 * offset, -124.0, 44.2 + 0.001 * offset, -123.8
         )
         catalog.upsert(feature)
-        engine.refresh_indexes(updated=[catalog.get("station_00000")])
 
     edits = [0]
 

@@ -132,7 +132,6 @@ def synthetic_query_texts(n_queries: int, seed: int) -> list[str]:
 def check_exactness(catalog, queries, hierarchy, limit, shard_workers):
     """Serial engine vs sharded engine vs the service: same pages."""
     serial = SearchEngine(catalog, hierarchy=hierarchy, cache=False)
-    serial.build_indexes()
     expected = [page(serial.search(q, limit=limit)) for q in queries]
 
     mismatches = 0
@@ -140,7 +139,6 @@ def check_exactness(catalog, queries, hierarchy, limit, shard_workers):
         catalog, hierarchy=hierarchy, cache=False,
         shard_workers=shard_workers, shard_threshold=1,
     )
-    sharded.build_indexes()
     try:
         for query, want in zip(queries, expected):
             if page(sharded.search(query, limit=limit)) != want:
@@ -353,7 +351,6 @@ def refresh_cost_phase(catalog, queries, hierarchy, limit, rounds=5):
             )
             # The O(changed) page must still be the exact page.
             serial = SearchEngine(catalog, hierarchy=hierarchy, cache=False)
-            serial.build_indexes()
             for query in queries:
                 want = page(serial.search(query, limit=limit))
                 got = page(service.search(query, limit=limit).results)

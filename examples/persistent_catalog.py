@@ -46,7 +46,6 @@ def main() -> None:
         #    queries with no re-scan.
         served = SqliteCatalog(catalog_path)
         engine = SearchEngine(served, hierarchy=vocabulary_hierarchy())
-        engine.build_indexes()
         results = engine.search(
             Query(
                 location=GeoPoint(46.2, -123.8),

@@ -1,10 +1,10 @@
 """Candidate-selection indexes over catalog features.
 
-Ranked search scores *every* candidate; with thousands of datasets a full
-scan per query is wasteful when the query carries location or time terms.
-These indexes prune the candidate set cheaply and conservatively (they
-never drop a dataset that could score above zero on the indexed term
-within the given radius/expansion).
+These indexes select candidates cheaply and conservatively (they never
+drop a dataset that could score above zero on the indexed term within
+the given radius/expansion).  Ranked search no longer reads them: a
+cache miss scores every dataset in one columnar array pass (DESIGN
+note 5).
 """
 
 from __future__ import annotations

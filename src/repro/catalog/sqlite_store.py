@@ -110,8 +110,6 @@ class SqliteCatalog(CatalogStore):
         self,
         path: str = ":memory:",
         busy_timeout_ms: int = 5000,
-        *,
-        enable_prefilter: bool = True,
     ) -> None:
         # One shared connection, guarded by ``_lock`` (below) instead of
         # sqlite3's same-thread check: the serving layer snapshots from
@@ -140,16 +138,6 @@ class SqliteCatalog(CatalogStore):
         # Catalog files written by older builds carry R*Tree triggers
         # that double the cost of every ``datasets`` write; drop them.
         self._drop_rtree_artifacts()
-        # Pushdown prefilter: indexed min/max range scans over
-        # ``datasets`` itself ("range"), or "none" when disabled.
-        self._prefilter_mode = "range" if enable_prefilter else "none"
-
-    # -- pushdown prefilter ---------------------------------------------------
-
-    @property
-    def prefilter_mode(self) -> str:
-        """Active pushdown mode: ``"range"`` or ``"none"``."""
-        return self._prefilter_mode
 
     def _drop_rtree_artifacts(self) -> None:
         """Remove the R*Tree prefilter tables and triggers of old builds.
@@ -167,6 +155,11 @@ class SqliteCatalog(CatalogStore):
             pass
         self._conn.execute("DROP TABLE IF EXISTS prefilter_map")
         self._conn.commit()
+
+    # -- candidate range scans ------------------------------------------------
+    #
+    # No search reads these (every miss scores all rows in one array
+    # pass); they remain for callers that still ask for them.
 
     def prefilter_candidates_near(
         self, point: GeoPoint, radius_km: float

@@ -415,10 +415,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
     telemetry = Telemetry()
     with use_telemetry(telemetry):
         engine = SearchEngine(catalog, hierarchy=vocabulary_hierarchy())
-        if getattr(catalog, "prefilter_mode", "none") == "none":
-            # No SQL pushdown available (e.g. a JSON-loaded memory
-            # catalog): build the in-memory candidate indexes instead.
-            engine.build_indexes()
         repeats = max(1, args.repeat)
         for __ in range(repeats):
             results = engine.search(query, limit=args.limit)
@@ -429,13 +425,9 @@ def _cmd_search(args: argparse.Namespace) -> int:
         print()
         print(
             f"engine: catalog v{stats['catalog_version']} "
-            f"({stats['catalog_size']} datasets), "
-            f"indexes {'current' if stats['indexes_current'] else 'stale'}"
+            f"({stats['catalog_size']} datasets)"
         )
-        print(
-            f"scan:   columnar {'on' if stats['columnar'] else 'off'}, "
-            f"prefilter pushdown {stats['prefilter_mode']}"
-        )
+        print(f"scan:   columnar {'on' if stats['columnar'] else 'off'}")
         print(
             f"cache:  {cache['hits']} hits / {cache['misses']} misses "
             f"/ {cache['evictions']} evictions "

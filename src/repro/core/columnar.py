@@ -99,16 +99,23 @@ class ColumnArrays:
     ``np.frombuffer`` shares the ``array`` buffers, so nothing is held
     twice; the views are marked read-only because the snapshot is
     frozen.  (An exported buffer also pins the ``array`` against
-    resizing, which a frozen column never needs.)
+    resizing, which a frozen column never needs.)  ``var_rows`` is the
+    one derived column: the row of each per-variable entry, expanded
+    once from ``var_offsets``.
     """
 
-    __slots__ = tuple(name for name, __ in COLUMN_DTYPES)
+    __slots__ = tuple(name for name, __ in COLUMN_DTYPES) + ("var_rows",)
 
     def __init__(self, view: "ColumnarSnapshot") -> None:
         for name, dtype in COLUMN_DTYPES:
             column = np.frombuffer(getattr(view, name), dtype=dtype)
             column.flags.writeable = False
             setattr(self, name, column)
+        offsets = self.var_offsets
+        self.var_rows = np.repeat(
+            np.arange(len(offsets) - 1, dtype=np.int64), np.diff(offsets)
+        )
+        self.var_rows.flags.writeable = False
 
 
 # -- stage 1: array twins of the scalar kernels --------------------------------
@@ -658,38 +665,42 @@ class ColumnarScorer:
                 gap_days / config.time_decay_days, shape
             )
         if scorer._use_variables:
-            offsets = cols.var_offsets[start:stop + 1]
-            lo, hi = int(offsets[0]), int(offsets[-1])
+            lo = int(cols.var_offsets[start])
+            hi = int(cols.var_offsets[stop])
             name_ids = cols.var_name_ids[lo:hi]
-            counts = cols.var_counts[lo:hi]
-            mins = cols.var_mins[lo:hi]
-            maxs = cols.var_maxs[lo:hi]
-            # reduceat over an empty segment returns the element at its
-            # start rather than an identity, so empty rows keep 0.0 and
-            # only non-empty segments are reduced (their starts are
-            # increasing and each runs to the next one's start).
-            filled = offsets[1:] > offsets[:-1]
-            starts = offsets[:-1][filled] - lo
             for index, term in enumerate(query.variables):
+                # Only entries whose name matches can score: an entry
+                # with a zero name similarity contributes exactly 0 (the
+                # scalar loop skips it), so a pass over the matching
+                # entries alone gives bit-identical totals and ``exact``.
                 name_sims = self._term_sim_arrays[index][name_ids]
-                range_sims, decayed = range_similarity_array(
-                    term, counts, mins, maxs, config
-                )
-                sims = name_sims * range_sims
-                # The scalar loop keeps its best only on ``sim > best``,
-                # so a NaN similarity never wins; zero it here.
-                sims[np.isnan(sims)] = 0.0
+                hits = np.flatnonzero(name_sims)
                 best = np.zeros(n)
-                if len(starts):
-                    best[filled] = np.maximum.reduceat(sims, starts)
-                weighted_sum += (config.variable_weight * term.weight) * best
-                if exact is not None and decayed is not None:
-                    # Per-row "any decayed entry with a name match",
-                    # from prefix sums (empty rows need no care here).
-                    seen = np.concatenate(
-                        ([0], np.cumsum(decayed & (name_sims != 0.0)))
+                if len(hits):
+                    entries = hits + lo
+                    range_sims, decayed = range_similarity_array(
+                        term,
+                        cols.var_counts[entries],
+                        cols.var_mins[entries],
+                        cols.var_maxs[entries],
+                        config,
                     )
-                    exact &= seen[offsets[1:] - lo] == seen[offsets[:-1] - lo]
+                    sims = name_sims[hits] * range_sims
+                    # The scalar loop keeps its best only on
+                    # ``sim > best``, so a NaN similarity never wins.
+                    sims[np.isnan(sims)] = 0.0
+                    # Entries are in row order, so each row's hits form
+                    # one run; reduce every run to its row's best.
+                    hit_rows = cols.var_rows[entries] - start
+                    runs = np.flatnonzero(
+                        np.concatenate(([True], hit_rows[1:] != hit_rows[:-1]))
+                    )
+                    best[hit_rows[runs]] = np.maximum.reduceat(sims, runs)
+                    if exact is not None and decayed is not None:
+                        # A decayed entry with a name match costs its
+                        # row the bit-exact guarantee.
+                        exact[hit_rows[decayed]] = False
+                weighted_sum += (config.variable_weight * term.weight) * best
         return weighted_sum / scorer._total_weight, exact
 
     def score_row_bounded(

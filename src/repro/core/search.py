@@ -1,10 +1,10 @@
 """The ranked search engine and the boolean-filter baseline.
 
 :class:`SearchEngine` is the paper's similarity search over the catalog:
-score every dataset, return the top-k with per-term breakdowns.
-Optional :class:`~repro.catalog.index.CatalogIndexes` order the scan for
-spatial/temporal queries: datasets whose indexed term may still score
-above the configured ``epsilon`` are scanned first, the rest after.
+score every dataset, return the top-k with per-term breakdowns.  A
+cache miss scores every row of the columnar view in one array pass
+(:func:`score_rows_into`); the scalar rescore of the rows that can
+still reach the k-th best total is the only pruning.
 
 :class:`BooleanSearchEngine` is the comparison baseline a conventional
 data portal provides: hard filters, no ranking.  A dataset either matches
@@ -26,7 +26,6 @@ import numpy as np
 from ..catalog.index import CatalogIndexes
 from ..catalog.records import DatasetFeature
 from ..catalog.store import CatalogStore
-from ..geo import SECONDS_PER_DAY
 from ..hierarchy import ConceptHierarchy
 from ..obs import current_request, get_telemetry, use_request, use_telemetry
 from .cache import QueryCache
@@ -36,7 +35,6 @@ from .scoring import (
     QueryScorer,
     ScoreBreakdown,
     ScoringConfig,
-    decay_horizon,
 )
 
 
@@ -65,7 +63,7 @@ class SearchResults(list):
     The count is exact on every path: for the boolean engine it counts
     datasets matching every term, and for ranked search the datasets
     scoring above zero (every dataset, for an empty query) — whatever
-    the execution path, shard split, top-k floor or candidate pruning.
+    the execution path, shard split or top-k floor.
 
     Slicing and :meth:`copy` preserve the metadata (``total_matches``
     carries over; ``truncated`` is re-derived for the narrower page), so
@@ -223,6 +221,11 @@ def score_rows_into(
     if telemetry.enabled:
         telemetry.count("scan.rows_approximated", len(approx))
         telemetry.count("scan.rows_rescored", len(rescore))
+    context = current_request()
+    if context is not None:
+        context.tally(
+            rows_approximated=len(approx), rows_rescored=len(rescore)
+        )
     is_empty = query.is_empty
     ids = cscorer.view.ids
     score_row = cscorer.score_row_bounded
@@ -269,7 +272,7 @@ class SearchEngine:
     """Ranked similarity search over a catalog store.
 
     Scoring optionally *shards*: when ``shard_workers > 1`` and the
-    post-prune candidate set has at least ``shard_threshold`` entries,
+    catalog has at least ``shard_threshold`` rows,
     it is partitioned into contiguous chunks scored on a thread pool,
     each chunk through its own :class:`_TopK` heap, then merged into
     the global heap.  The merge is exact — every global top-``k``
@@ -293,7 +296,6 @@ class SearchEngine:
         self,
         catalog: CatalogStore,
         hierarchy: ConceptHierarchy | None = None,
-        indexes: CatalogIndexes | None = None,
         config: ScoringConfig | None = None,
         epsilon: float = 1e-3,
         cache: QueryCache | bool = True,
@@ -309,8 +311,11 @@ class SearchEngine:
             raise ValueError("shard_threshold must be positive")
         self.catalog = catalog
         self.hierarchy = hierarchy
-        self.indexes = indexes
+        # Attached by build_indexes(); no search reads them.
+        self.indexes: CatalogIndexes | None = None
         self.config = config or ScoringConfig()
+        # Validated and part of the cache key for existing callers; no
+        # search reads it.
         self.epsilon = epsilon
         # True: engine-private cache; False: no caching; or pass a
         # QueryCache instance to share one across engines.
@@ -325,7 +330,6 @@ class SearchEngine:
         # this engine (release it with close()).
         self._executor = executor
         self._owns_executor = False
-        self._horizons: dict[tuple[float, str], float] = {}
         # Columnar fast path: score over frozen facet columns instead of
         # feature objects (bit-identical results — see core/columnar.py).
         # Disable to force the object scorer, e.g. for A/B benchmarks.
@@ -356,7 +360,11 @@ class SearchEngine:
             self._owns_executor = False
 
     def build_indexes(self, cell_degrees: float = 0.5) -> CatalogIndexes:
-        """Build (and attach) fresh indexes over the current catalog."""
+        """Build (and attach) fresh indexes over the current catalog.
+
+        No search reads them: every miss scores all rows in one array
+        pass (DESIGN note 5).  Kept for callers that still build them.
+        """
         with get_telemetry().span("index.build", size=len(self.catalog)):
             self.indexes = CatalogIndexes.build(
                 list(self.catalog.shared_features()),
@@ -364,136 +372,6 @@ class SearchEngine:
                 catalog_version=self.catalog.version,
             )
         return self.indexes
-
-    def refresh_indexes(
-        self,
-        added: Iterable[DatasetFeature] = (),
-        removed: Iterable[str] = (),
-        updated: Iterable[DatasetFeature] = (),
-    ) -> CatalogIndexes:
-        """Fold a known catalog delta into the attached indexes.
-
-        O(changed) instead of the O(catalog) full rebuild (above a churn
-        threshold :meth:`~repro.catalog.index.CatalogIndexes.apply`
-        rebuilds anyway, which is then the cheaper move).  Builds fresh
-        indexes when none are attached yet.
-        """
-        if self.indexes is None:
-            return self.build_indexes()
-        return self.indexes.apply(
-            added=added,
-            removed=removed,
-            updated=updated,
-            catalog_version=self.catalog.version,
-            rebuild_from=self.catalog.shared_features(),
-        )
-
-    def _indexes_current(self) -> bool:
-        """Whether the attached indexes reflect the live catalog.
-
-        Compares the catalog's monotonic mutation counter against the
-        version the indexes were stamped with — a same-size replacement
-        bumps the counter, so (unlike a length comparison) it cannot
-        silently serve stale candidates.  Indexes built without a
-        version stamp fall back to the length comparison.
-        """
-        if self.indexes is None:
-            return False
-        if self.indexes.catalog_version is None:
-            return len(self.indexes) == len(self.catalog)
-        return self.indexes.catalog_version == self.catalog.version
-
-    def _decay_horizon(self, shape: str) -> float:
-        """Memoized ``decay_horizon(self.epsilon, shape)``."""
-        key = (self.epsilon, shape)
-        horizon = self._horizons.get(key)
-        if horizon is None:
-            horizon = decay_horizon(self.epsilon, shape)
-            self._horizons[key] = horizon
-        return horizon
-
-    def _prefilter_store(self):
-        """The catalog itself when it can prefilter candidates in SQL.
-
-        Duck-typed on ``prefilter_mode`` (see
-        :class:`~repro.catalog.sqlite_store.SqliteCatalog`): any store
-        advertising a mode other than ``"none"`` also provides
-        ``prefilter_candidates_near`` / ``prefilter_candidates_overlapping``.
-        """
-        if getattr(self.catalog, "prefilter_mode", "none") != "none":
-            return self.catalog
-        return None
-
-    def _candidate_ids(self, query: Query) -> list[str]:
-        """The dataset ids to scan first: a superset of those whose
-        indexed term (location or time) is still above ``epsilon``.
-
-        The candidate source is a ladder: current in-memory
-        :class:`~repro.catalog.index.CatalogIndexes` when attached, else
-        the store's own SQL pushdown prefilter (an indexed range scan —
-        see DESIGN note 15), else every id.  :meth:`search` scans
-        the pruned remainder right after the candidates — its rows still
-        count toward ``total_matches`` — so the rung orders the scan and
-        never changes the answer.
-        """
-        use_indexes = self._indexes_current()
-        pushdown = None if use_indexes else self._prefilter_store()
-        if not use_indexes and pushdown is None:
-            return self.catalog.dataset_ids()
-        candidates: set[str] | None = None
-        if query.location is not None and self.config.use_location:
-            # Distance beyond which the location term alone is below
-            # epsilon: the query radius plus the decay horizon.
-            horizon_km = self.config.location_decay_km * self._decay_horizon(
-                self.config.decay_shape
-            )
-            radius_km = query.radius_km + horizon_km
-            if pushdown is not None:
-                spatial = pushdown.prefilter_candidates_near(
-                    query.location, radius_km
-                )
-            else:
-                spatial = self.indexes.spatial.candidates_near(
-                    query.location, radius_km
-                )
-            if spatial is not None:  # None: margin covers the globe
-                candidates = spatial
-        if query.interval is not None and self.config.use_time:
-            margin = (
-                self.config.time_decay_days
-                * SECONDS_PER_DAY
-                * self._decay_horizon(self.config.decay_shape)
-            )
-            if pushdown is not None:
-                temporal = pushdown.prefilter_candidates_overlapping(
-                    query.interval, margin_seconds=margin
-                )
-            else:
-                temporal = self.indexes.temporal.candidates_overlapping(
-                    query.interval, margin_seconds=margin
-                )
-            if temporal is not None:
-                candidates = (
-                    temporal if candidates is None else candidates & temporal
-                )
-        if candidates is None:
-            return self.catalog.dataset_ids()
-        telemetry = get_telemetry()
-        if telemetry.enabled:
-            telemetry.count(
-                "prefilter.pushdown" if pushdown is not None
-                else "prefilter.python"
-            )
-        all_ids = self.catalog.dataset_ids()
-        if telemetry.enabled:
-            telemetry.count("prefilter.candidates_in", len(all_ids))
-            telemetry.count(
-                "prefilter.candidates_out",
-                min(len(candidates), len(all_ids)),
-            )
-        if len(candidates) >= len(all_ids):
-            return all_ids
-        return sorted(candidates)
 
     def _score_into(
         self, scorer: QueryScorer, query: Query, ids, top: _TopK
@@ -556,46 +434,21 @@ class SearchEngine:
         self._columnar_cache = view
         return view
 
-    def _score_rows_into(
-        self,
-        cscorer: ColumnarScorer,
-        query: Query,
-        rows: Sequence[int],
-        top: _TopK,
-    ) -> int:
-        """Columnar twin of :meth:`_score_into`: rows, not features.
-
-        Delegates to the module-level :func:`score_rows_into` — the one
-        loop shared with shard threads and pool worker processes.
-        """
-        return score_rows_into(cscorer, query, rows, top)
-
-    def _score_candidates_columnar(
+    def _score_columnar(
         self,
         scorer: QueryScorer,
         query: Query,
-        ids: Sequence[str],
         top: _TopK,
         view: ColumnarSnapshot,
-    ) -> int | None:
-        """Score candidate ids over the columnar view; exact matches.
+    ) -> int:
+        """Score every row of the columnar view into ``top`` in one
+        :func:`score_rows_into` pass; returns the exact match count.
 
-        Returns None when some id is absent from the view (a staleness
-        race) — the caller falls back to the object path.  Sharding
-        partitions contiguous *row ranges* instead of id lists; the
-        merge argument is unchanged (DESIGN notes 14 and 15), and the
-        read-only :class:`ColumnarScorer` is safely shared by every
-        shard thread.
+        Sharding partitions contiguous *row ranges*; the merge argument
+        is in DESIGN note 14, and the read-only :class:`ColumnarScorer`
+        is safely shared by every shard thread.
         """
-        rows: Sequence[int]
-        if len(ids) == len(view):
-            rows = range(len(view))
-        else:
-            row_of = view.row_of
-            try:
-                rows = [row_of[dataset_id] for dataset_id in ids]
-            except KeyError:
-                return None
+        rows = range(len(view))
         pool = self.procpool
         if pool is not None and pool.wants(view.version, len(rows)):
             pooled = pool.score(query, top.limit, view.version, rows)
@@ -609,7 +462,7 @@ class SearchEngine:
         cscorer = ColumnarScorer(scorer, view)
         workers = self._effective_shard_workers(len(rows))
         if workers <= 1:
-            return self._score_rows_into(cscorer, query, rows, top)
+            return score_rows_into(cscorer, query, rows, top)
         telemetry = get_telemetry()
         telemetry.count("search.sharded_queries")
         # Shard threads carry the submitting request with them: same
@@ -625,7 +478,7 @@ class SearchEngine:
                 with telemetry.parented(parent):
                     with telemetry.span("search.shard", rows=len(shard)):
                         shard_top = _TopK(top.limit)
-                        matched = self._score_rows_into(
+                        matched = score_rows_into(
                             cscorer, query, shard, shard_top
                         )
             return matched, shard_top
@@ -639,13 +492,13 @@ class SearchEngine:
                 top.push(item.result)
         return matches
 
-    def _effective_shard_workers(self, n_candidates: int) -> int:
+    def _effective_shard_workers(self, n_rows: int) -> int:
         """How many scoring shards this query should use (1 = serial)."""
         if self.shard_workers is None or self.shard_workers <= 1:
             return 1
-        if n_candidates < self.shard_threshold:
+        if n_rows < self.shard_threshold:
             return 1
-        return min(self.shard_workers, n_candidates)
+        return min(self.shard_workers, n_rows)
 
     def _shard_executor(self) -> ThreadPoolExecutor:
         if self._executor is None:
@@ -656,15 +509,15 @@ class SearchEngine:
             self._owns_executor = True
         return self._executor
 
-    def _score_candidates(
+    def _score_objects(
         self,
         scorer: QueryScorer,
         query: Query,
         ids: Sequence[str],
         top: _TopK,
     ) -> int:
-        """Score ``ids`` into ``top``, sharding across threads when the
-        candidate set is large enough; returns exact matches.
+        """Score ``ids`` through the object scorer into ``top``, sharding
+        across threads when there are enough; returns exact matches.
 
         Each shard scores through a private :class:`QueryScorer` (its
         name-similarity memo is not shared across threads) and a private
@@ -804,11 +657,10 @@ class SearchEngine:
     def search(self, query: Query, limit: int = 10) -> SearchResults:
         """Top-``limit`` datasets by similarity to ``query``.
 
-        Exact: candidate pruning never drops a dataset — the pruned
-        remainder goes through the same two-stage scan, whose array
-        pass also counts it into ``total_matches`` — and the bounded
-        top-k heap keeps precisely the datasets a full score-and-sort
-        would.  Results are sorted by descending score, ties broken by
+        Exact: a miss scores every dataset in one two-stage pass (see
+        :func:`score_rows_into`), whose array stage also counts it into
+        ``total_matches``, and the bounded top-k heap keeps precisely
+        the datasets a full score-and-sort would.  Results are sorted by descending score, ties broken by
         dataset id for determinism.
 
         Repeated queries are served from the version-keyed LRU cache
@@ -860,42 +712,28 @@ class SearchEngine:
                 if context is not None:
                     context.annotate(
                         cache_hit=True,
-                        candidates_in=len(self.catalog),
-                        candidates_out=0,
+                        rows_approximated=0,
+                        rows_rescored=0,
                         results=len(cached),
                     )
                 return cached
             telemetry.count("search.cache_misses")
+        if context is not None:
+            # score_rows_into adds its rows to these.
+            context.annotate(
+                cache_hit=False, rows_approximated=0, rows_rescored=0
+            )
         scorer = QueryScorer(
             query, hierarchy=self.hierarchy, config=self.config
         )
-        with telemetry.span("search.prefilter") as prefilter_span:
-            candidate_ids = self._candidate_ids(query)
-            prefilter_span.set("candidates_in", len(self.catalog))
-            prefilter_span.set("candidates_out", len(candidate_ids))
-        if context is not None:
-            context.annotate(
-                cache_hit=False,
-                candidates_in=len(self.catalog),
-                candidates_out=len(candidate_ids),
-            )
-        if telemetry.enabled:
-            pruned = len(self.catalog) - len(candidate_ids)
-            if pruned > 0:
-                telemetry.count("search.candidates_pruned", pruned)
-            span.set("candidates", len(candidate_ids))
         top = _TopK(limit)
         view = self.columnar_view()
-        matches = self._score(scorer, query, candidate_ids, top, view)
-        if len(candidate_ids) < len(self.catalog):
-            # The prefilter only orders the scan: the rows it pruned
-            # still count toward total_matches, and after the
-            # candidates the heap's floor keeps their scalar rescore to
-            # rows that can still make the page.
-            remainder = sorted(
-                set(self.catalog.dataset_ids()) - set(candidate_ids)
+        if view is not None:
+            matches = self._score_columnar(scorer, query, top, view)
+        else:
+            matches = self._score_objects(
+                scorer, query, self.catalog.dataset_ids(), top
             )
-            matches += self._score(scorer, query, remainder, top, view)
         results = SearchResults(top.sorted_results(), total_matches=matches)
         if context is not None:
             context.annotate(results=len(results))
@@ -903,36 +741,12 @@ class SearchEngine:
             self.cache.put(key, results)
         return results
 
-    def _score(
-        self,
-        scorer: QueryScorer,
-        query: Query,
-        ids: Sequence[str],
-        top: _TopK,
-        view: ColumnarSnapshot | None,
-    ) -> int:
-        """Score ``ids`` into ``top`` over the columnar view, or through
-        the object scorer when there is none or it misses an id (a
-        staleness race); returns the exact match count."""
-        if view is not None:
-            matches = self._score_candidates_columnar(
-                scorer, query, ids, top, view
-            )
-            if matches is not None:
-                return matches
-        return self._score_candidates(scorer, query, ids, top)
-
     def stats(self) -> dict:
-        """Operational counters: cache hit/miss/eviction, index state."""
+        """Operational counters: catalog version and size, cache state."""
         return {
             "catalog_version": self.catalog.version,
             "catalog_size": len(self.catalog),
-            "indexed": self.indexes is not None,
-            "indexes_current": self._indexes_current(),
             "columnar": self.columnar,
-            "prefilter_mode": getattr(
-                self.catalog, "prefilter_mode", "none"
-            ),
             "cache": self.cache.stats() if self.cache is not None else None,
         }
 

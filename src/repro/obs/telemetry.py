@@ -187,11 +187,11 @@ class RequestContext:
     write into it concurrently.
 
     ``attrs`` is the request-scoped scratchpad: layers that know
-    something about the request (the engine knows the candidate counts
-    and whether the cache hit; the service knows the snapshot version)
-    :meth:`annotate` it, and the access log reads it all back at the
-    end without any layer having to thread fields through its return
-    types.
+    something about the request (the engine knows whether the cache hit
+    and how many rows the scan approximated and rescored; the service
+    knows the snapshot version) :meth:`annotate` or :meth:`tally` it,
+    and the access log reads it all back at the end without any layer
+    having to thread fields through its return types.
     """
 
     request_id: str
@@ -201,6 +201,17 @@ class RequestContext:
         """Attach request-scoped facts (coerced to JSON-safe scalars)."""
         for key, value in attrs.items():
             self.attrs[key] = _coerce_attr(value)
+
+    def tally(self, **counts: int) -> None:
+        """Add ``counts`` to integer attributes (missing ones start at
+        0); safe from the scoring-shard threads that share a context."""
+        with _tally_lock:
+            for key, value in counts.items():
+                self.attrs[key] = self.attrs.get(key, 0) + value
+
+
+#: Serialises :meth:`RequestContext.tally`'s read-modify-write.
+_tally_lock = threading.Lock()
 
 
 #: The active request context is per-thread, exactly like the active

@@ -2,7 +2,7 @@
 
 The GIL caps what scoring-shard *threads* can do for a CPU-bound scan;
 this module is the rung above them: a :class:`ProcessPoolScorer` fans
-post-prefilter scoring out across worker *processes* that each hold the
+the columnar scan out across worker *processes* that each hold the
 same version-stamped :class:`~repro.core.columnar.ColumnarSnapshot`.
 
 Snapshot shipping

@@ -202,11 +202,6 @@ class SearchService:
         * **columnar** — the copy-on-write snapshot refreezes
           incrementally from the previous view (splicing unchanged
           rows; see ``ColumnarSnapshot.freeze_from``),
-        * **indexes** — the previous engine's indexes are copied
-          structurally and the delta is folded in with
-          ``CatalogIndexes.apply`` (copy-then-apply, because apply
-          mutates in place and in-flight requests still scan the old
-          engine's indexes),
         * **process pool** — only the delta crosses the pickle
           boundary (full-payload fallback inside ``install``),
         * **cache** — still-valid query-cache entries are re-keyed to
@@ -237,23 +232,9 @@ class SearchService:
                 used_delta = snapshot is not None
                 if snapshot is None:
                     snapshot = self.source.snapshot()
-                indexes = None
-                upserted_features = []
-                if used_delta:
-                    upserted_features = list(
-                        snapshot.shared_features(delta.upserted)
-                    )
-                    if previous.indexes is not None:
-                        indexes = previous.indexes.copy().apply(
-                            updated=upserted_features,
-                            removed=delta.removed,
-                            catalog_version=snapshot.version,
-                            rebuild_from=snapshot.shared_features(),
-                        )
                 engine = SearchEngine(
                     snapshot,
                     hierarchy=self.hierarchy,
-                    indexes=indexes,
                     config=self.scoring,
                     cache=self.cache,
                     shard_workers=self.config.shard_workers,
@@ -261,8 +242,6 @@ class SearchService:
                     executor=self._shard_executor,
                     procpool=self._procpool,
                 )
-                if indexes is None:
-                    engine.build_indexes()
                 # Warm the columnar freeze off the request path: the
                 # first admitted query scans flat columns instead of
                 # paying the one-time freeze under its own latency
@@ -278,7 +257,7 @@ class SearchService:
                     if used_delta:
                         pool_delta = (
                             previous.catalog.version,
-                            upserted_features,
+                            list(snapshot.shared_features(delta.upserted)),
                             list(delta.removed),
                         )
                     self._procpool.install(
@@ -372,8 +351,8 @@ class SearchService:
         """Swap in a fresh snapshot of the source catalog.
 
         Call after a publish (the wrangler's loop does).  A no-op when
-        the source version is unchanged — the warm engine, its indexes
-        and every cache entry stay live.  Returns True when a new
+        the source version is unchanged — the warm engine and every
+        cache entry stay live.  Returns True when a new
         snapshot was installed.  In-flight requests keep the snapshot
         they started with; only requests admitted after the swap see
         the new version.

@@ -76,47 +76,26 @@ class DataNearHere:
                 component.workers = workers
 
     def wrangle(self) -> ChainRunReport:
-        """Run the full wrangling chain and refresh search indexes.
+        """Run the full wrangling chain and point search at the result.
 
-        The first run builds indexes over the published catalog; later
-        runs fold the publish delta in incrementally (O(changed)), so
-        re-wrangling a lightly-edited archive does not pay an
-        O(catalog) index rebuild — and an unchanged archive keeps the
-        query cache warm.
+        A rerun that publishes into the same store keeps the engine, and
+        with it the query cache: entries are keyed on the catalog
+        version and the hierarchy's content, so an unchanged archive
+        stays warm.
         """
         with use_telemetry(self.telemetry):
             report = self.chain.run(self.state)
             published = self.state.published
-            delta = self.state.published_delta
             engine = self._engine
-            with self.telemetry.span("index.refresh"):
-                if (
-                    engine is not None
-                    and engine.catalog is published
-                    and engine.indexes is not None
-                    and delta is not None
-                    and not delta.full_copy
-                ):
-                    if delta.changed:
-                        # The hierarchy may have been regenerated
-                        # alongside the changed catalog; an unchanged
-                        # publish keeps the old object so
-                        # version-matched cache entries stay live.
-                        engine.hierarchy = self.state.hierarchy
-                        engine.refresh_indexes(
-                            updated=[
-                                published.get(i) for i in delta.upserted
-                            ],
-                            removed=delta.removed,
-                        )
-                else:
-                    self._engine = SearchEngine(
-                        published,
-                        hierarchy=self.state.hierarchy,
-                        config=self.scoring,
-                        cache=self._cache,
-                    )
-                    self._engine.build_indexes()
+            if engine is not None and engine.catalog is published:
+                engine.hierarchy = self.state.hierarchy
+            else:
+                self._engine = SearchEngine(
+                    published,
+                    hierarchy=self.state.hierarchy,
+                    config=self.scoring,
+                    cache=self._cache,
+                )
         return report
 
     def validate(self) -> ValidationReport:
@@ -164,7 +143,7 @@ class DataNearHere:
             return self.engine.search(query, limit=limit)
 
     def search_stats(self) -> dict:
-        """Engine counters (query-cache hits/misses, index state)."""
+        """Engine counters (catalog version and size, query cache)."""
         return self.engine.stats()
 
     def search_service(self, config=None) -> "SearchService":

@@ -170,17 +170,6 @@ def render_telemetry_report(snapshot: dict) -> str:
                 f"  transients: {absorbed} absorbed "
                 f"({injected} injected, {organic} organic)"
             )
-        pushdown = counters.get("prefilter.pushdown", 0)
-        python_side = counters.get("prefilter.python", 0)
-        if pushdown or python_side:
-            cand_in = counters.get("prefilter.candidates_in", 0)
-            cand_out = counters.get("prefilter.candidates_out", 0)
-            kept = (cand_out / cand_in) if cand_in else 1.0
-            lines.append(
-                f"  prefilter: {pushdown} pushdown / "
-                f"{python_side} python, kept {cand_out}/{cand_in} "
-                f"candidates ({kept:.0%})"
-            )
         pooled = counters.get("procpool.queries", 0)
         pool_degraded = counters.get("procpool.degraded", 0)
         pool_stale = counters.get("procpool.stale_miss", 0)

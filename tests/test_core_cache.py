@@ -103,15 +103,15 @@ class TestEngineCache:
         assert stats["misses"] == 1
 
     def test_mutation_invalidates_cache_and_indexes(self, catalog):
-        """Any upsert bumps the version: cached pages and index candidate
-        sets from before the edit can no longer be served."""
+        """Any upsert bumps the version: cached pages from before the
+        edit can no longer be served, and attached indexes built before
+        it cannot narrow the scan."""
         engine = SearchEngine(catalog)
         engine.build_indexes()
         before = engine.search(query(), limit=3)
         assert "far_c" != before[0].dataset_id
         # Move the far dataset onto the query point (same-size mutation).
         catalog.upsert(feature("far_c", 45.5, -124.4))
-        assert not engine.stats()["indexes_current"]
         after = engine.search(query(), limit=3)
         assert after[0].score == pytest.approx(1.0)
         assert {r.dataset_id for r in after if r.score > 0.99} >= {"far_c"}
@@ -127,20 +127,10 @@ class TestEngineCache:
         # Replace near_a with a far-away dataset: catalog size unchanged.
         catalog.upsert(feature("near_a", 49.0, -121.0))
         assert len(engine.indexes) == len(catalog)
-        assert not engine.stats()["indexes_current"]
         spatial_only = Query(location=GeoPoint(49.0, -121.0), radius_km=5.0)
         results = engine.search(spatial_only, limit=1)
         assert results[0].dataset_id == "near_a"
         assert results[0].score == pytest.approx(1.0)
-
-    def test_refresh_indexes_restores_currency(self, catalog):
-        engine = SearchEngine(catalog, cache=False)
-        engine.build_indexes()
-        catalog.upsert(feature("near_a", 49.0, -121.0))
-        engine.refresh_indexes(updated=[catalog.get("near_a")])
-        assert engine.stats()["indexes_current"]
-        spatial_only = Query(location=GeoPoint(49.0, -121.0), radius_km=5.0)
-        assert engine.search(spatial_only, limit=1)[0].dataset_id == "near_a"
 
     def test_cache_disabled(self, catalog):
         engine = SearchEngine(catalog, cache=False)
@@ -227,16 +217,6 @@ class TestMicroFixes:
         results = engine.search(query(), limit=10)
         assert len(results) == 3
         assert all(r.score == pytest.approx(1.0) for r in results)
-
-    def test_decay_horizon_memoized(self, catalog):
-        engine = SearchEngine(catalog, cache=False)
-        engine.build_indexes()
-        engine.search(query())
-        key = (engine.epsilon, engine.config.decay_shape)
-        assert key in engine._horizons
-        assert engine._decay_horizon(
-            engine.config.decay_shape
-        ) == engine._horizons[key]
 
 
 class TestCacheConcurrency:

@@ -6,12 +6,19 @@ from repro.catalog import (
     CatalogIndexes,
     DatasetFeature,
     IntervalIndex,
+    SpatialGridIndex,
     VariableEntry,
 )
 from repro.catalog import SqliteCatalog
 from repro.catalog.index import REBUILD_CHURN_FRACTION
+from repro.cli import main
+from repro.core import search as core_search
+from repro.core.qparser import parse_query
+from repro.core.search import SearchEngine
 from repro.geo import BoundingBox, GeoPoint, TimeInterval
+from repro.hierarchy import vocabulary_hierarchy
 from repro.serve.service import SearchService, ServeConfig
+from repro.ui.render import render_search_text
 from repro.wrangling.state import PublishDelta
 
 
@@ -160,22 +167,58 @@ class TestIntervalIncremental:
 
 
 class TestCopyFreeIndexing:
-    """Serving indexes read a snapshot's own feature objects: building
-    them copies no feature, and they equal indexes built from copies."""
+    """The serving path is one array pass: a cache miss scores every
+    row through one ``score_rows_into`` call, and neither the service's
+    builds and refreshes nor a search build, copy, apply or query a
+    candidate index, or copy a feature.  (``catalog/index.py`` and the
+    SQLite range scans still exist; nothing on this path calls them.)"""
 
     SIZE = 200
+    QUERY = "near 45.5, -124.4 within 50 km with salinity between 5 and 10"
 
     @staticmethod
-    def _count_copies(monkeypatch) -> list:
+    def _count_calls(monkeypatch) -> list:
+        """Record a call to each index or candidate entry point, and to
+        ``DatasetFeature.copy``, without changing what they do."""
         calls = []
-        real_copy = DatasetFeature.copy
+        targets = [
+            (CatalogIndexes, "build"),
+            (CatalogIndexes, "copy"),
+            (CatalogIndexes, "apply"),
+            (SpatialGridIndex, "candidates_near"),
+            (IntervalIndex, "candidates_overlapping"),
+            (SqliteCatalog, "prefilter_candidates_near"),
+            (SqliteCatalog, "prefilter_candidates_overlapping"),
+            (DatasetFeature, "copy"),
+        ]
+        for owner, attr in targets:
+            original = getattr(owner, attr)
+            name = f"{owner.__name__}.{attr}"
 
-        def counting_copy(self):
-            calls.append(self.dataset_id)
-            return real_copy(self)
+            def counting(*args, _original=original, _name=name, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
 
-        monkeypatch.setattr(DatasetFeature, "copy", counting_copy)
+            monkeypatch.setattr(owner, attr, counting)
         return calls
+
+    @staticmethod
+    def _count_scans(monkeypatch) -> list:
+        """The ``rows`` of every ``score_rows_into`` call, with the size
+        of the view it scanned."""
+        scans = []
+        real = core_search.score_rows_into
+
+        def counting(cscorer, query, rows, top):
+            scans.append((rows, len(cscorer.view)))
+            return real(cscorer, query, rows, top)
+
+        monkeypatch.setattr(core_search, "score_rows_into", counting)
+        return scans
+
+    @staticmethod
+    def _index_calls(calls: list) -> list:
+        return [c for c in calls if not c.startswith("DatasetFeature")]
 
     def _service(self, store):
         return SearchService(
@@ -184,30 +227,28 @@ class TestCopyFreeIndexing:
                                warm_queries=0),
         )
 
+    def _store(self, seed: int) -> SqliteCatalog:
+        rng = random.Random(seed)
+        store = SqliteCatalog()
+        store.upsert_many(make_feature(i, rng) for i in range(self.SIZE))
+        return store
+
     def test_cold_service_build_copies_nothing(self, monkeypatch):
-        rng = random.Random(31)
-        with SqliteCatalog() as store:
-            store.upsert_many(make_feature(i, rng) for i in range(self.SIZE))
-            calls = self._count_copies(monkeypatch)
+        with self._store(31) as store:
+            calls = self._count_calls(monkeypatch)
             service = self._service(store)
             try:
                 assert calls == []
-                indexes = service._engine.indexes
-                assert len(indexes) == self.SIZE
-                copied = CatalogIndexes.build(list(store.snapshot()))
-                assert calls  # the reference really did copy
-                assert_equivalent(indexes, copied, random.Random(37))
+                assert service._engine.indexes is None
             finally:
                 service.close()
 
     def test_rebuilding_refresh_copies_nothing(self, monkeypatch):
         rng = random.Random(41)
-        with SqliteCatalog() as store:
-            store.upsert_many(make_feature(i, rng) for i in range(self.SIZE))
+        with self._store(41) as store:
             service = self._service(store)
             try:
                 moved = [make_feature(i, rng) for i in range(120)]
-                assert len(moved) > REBUILD_CHURN_FRACTION * self.SIZE
                 base = store.version
                 store.apply_batch(moved, ())
                 delta = PublishDelta(
@@ -215,15 +256,66 @@ class TestCopyFreeIndexing:
                     base_version=base,
                     published_version=store.version,
                 )
-                calls = self._count_copies(monkeypatch)
+                calls = self._count_calls(monkeypatch)
                 assert service.refresh(delta=delta) is True
                 assert calls == []
                 assert service.telemetry.counter(
                     "refresh.delta_applied"
                 ) == 1
-                indexes = service._engine.indexes
-                assert indexes.catalog_version == store.version
-                copied = CatalogIndexes.build(list(store.snapshot()))
-                assert_equivalent(indexes, copied, random.Random(43))
+                assert service._engine.indexes is None
             finally:
                 service.close()
+
+    def test_full_refresh_builds_no_index(self, monkeypatch):
+        rng = random.Random(47)
+        with self._store(47) as store:
+            service = self._service(store)
+            try:
+                store.upsert_many(make_feature(i, rng) for i in range(10))
+                calls = self._count_calls(monkeypatch)
+                assert service.refresh() is True
+                assert service.telemetry.counter(
+                    "refresh.full_rebuilds"
+                ) == 1
+                assert self._index_calls(calls) == []
+                assert service._engine.indexes is None
+            finally:
+                service.close()
+
+    def test_miss_scores_every_row_in_one_pass(self, monkeypatch):
+        with self._store(53) as store:
+            service = self._service(store)
+            try:
+                calls = self._count_calls(monkeypatch)
+                scans = self._count_scans(monkeypatch)
+                response = service.search(parse_query(self.QUERY), limit=5)
+                assert response.results
+                assert scans == [(range(self.SIZE), self.SIZE)]
+                # (The page itself carries copies of its features.)
+                assert self._index_calls(calls) == []
+                # A hit scores nothing.
+                service.search(parse_query(self.QUERY), limit=5)
+                assert len(scans) == 1
+            finally:
+                service.close()
+
+    def test_cli_search_matches_snapshot_engine(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        path = str(tmp_path / "catalog.db")
+        rng = random.Random(59)
+        with SqliteCatalog(path) as store:
+            store.upsert_many(make_feature(i, rng) for i in range(self.SIZE))
+            query = parse_query(self.QUERY)
+            reference = SearchEngine(
+                store.snapshot(), hierarchy=vocabulary_hierarchy(),
+                cache=False,
+            ).search(query, limit=5)
+        expected = render_search_text(query, reference)
+        calls = self._count_calls(monkeypatch)
+        scans = self._count_scans(monkeypatch)
+        assert main(["search", path, self.QUERY, "--limit", "5"]) == 0
+        assert capsys.readouterr().out == expected + "\n"
+        assert reference.total_matches > len(reference) > 0
+        assert self._index_calls(calls) == []
+        assert scans == [(range(self.SIZE), self.SIZE)]

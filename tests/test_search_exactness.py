@@ -1,9 +1,10 @@
 """Property test: the fast path is exact.
 
-The pruned-exactness contract — indexes, upper-bound pruning, the
-bounded top-k heap and the query cache must return *identical* results
-(ids, scores, order) to an unindexed, uncached full scan — holds for
-every catalog, query, epsilon and decay shape Hypothesis can dream up.
+The pruned-exactness contract — the columnar two-stage scan, upper-bound
+pruning, the bounded top-k heap and the query cache must return
+*identical* results (ids, scores, order) to an uncached object-scorer
+full scan — holds for every catalog, query, epsilon and decay shape
+Hypothesis can dream up.
 """
 
 from hypothesis import given, settings
@@ -126,10 +127,9 @@ def test_fast_path_identical_to_full_scan(
     fast = SearchEngine(
         catalog, hierarchy=hierarchy, config=config, epsilon=epsilon
     )
-    fast.build_indexes()
     naive = SearchEngine(
-        catalog, hierarchy=hierarchy, config=config, indexes=None,
-        cache=False,
+        catalog, hierarchy=hierarchy, config=config, cache=False,
+        columnar=False,
     )
     expected = [
         (r.dataset_id, r.score) for r in naive.search(query, limit=limit)

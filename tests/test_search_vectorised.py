@@ -5,7 +5,9 @@ in one numpy pass; stage 2 rescores the rows it selects with the scalar
 kernels.  The properties pinned here:
 
 * every approximate total lies within ``APPROX_TOLERANCE`` of the
-  scalar total, and rows flagged bit-exact are equal bit for bit;
+  scalar total, and rows flagged bit-exact are equal bit for bit —
+  also for the sparse variable pass, which scores only the entries
+  whose name matches a term;
 * the rows stage 2 rescores are a superset of the exact top-k, ties at
   the k-th score included;
 * pages and breakdowns are bit-identical to the object path, and
@@ -192,6 +194,92 @@ def test_approximate_totals_within_tolerance(catalog, query, config):
     picked = list(range(len(view)))[::-2]
     approx_picked, __ = cscorer.approximate_totals(picked)
     assert np.array_equal(approx_picked, approx[picked])
+
+
+#: A term name no interned name resembles: its name similarities are
+#: all zero, so the sparse pass finds no entry to score for it.
+UNMATCHED = "xqzv"
+
+
+@st.composite
+def variable_queries(draw):
+    """Variables-only queries (the ones with a bit-exact mask), over
+    names the catalog holds and one it never does; possibly empty."""
+    names = st.sampled_from(VARIABLE_POOL + [UNMATCHED])
+    chosen = draw(st.lists(terms(), max_size=3))
+    return Query(
+        variables=tuple(
+            VariableTerm(name=draw(names), low=t.low, high=t.high)
+            for t in chosen
+        )
+    )
+
+
+def assert_matches_scalar(cscorer, rows) -> np.ndarray:
+    """Stage 1 against the scalar ``score_row``; returns ``exact``."""
+    approx, exact = cscorer.approximate_totals(rows)
+    scalar = np.array([cscorer.score_row(row).total for row in rows])
+    assert np.all(np.abs(approx - scalar) <= APPROX_TOLERANCE)
+    assert exact is not None  # no location or time term
+    assert np.array_equal(approx[exact], scalar[exact])
+    return exact
+
+
+@given(catalog=catalogs(), query=variable_queries(), config=configs())
+@settings(max_examples=150, deadline=None)
+def test_sparse_variable_pass_matches_scalar(catalog, query, config):
+    view = ColumnarSnapshot(catalog.features(), version=catalog.version)
+    cscorer = ColumnarScorer(QueryScorer(query, config=config), view)
+    exact = assert_matches_scalar(cscorer, range(len(view)))
+    # A span that starts and stops mid-catalog reads the same rows.
+    if len(view) > 2:
+        inner = assert_matches_scalar(cscorer, range(1, len(view) - 1))
+        assert np.array_equal(inner, exact[1:-1])
+
+
+def test_sparse_variable_pass_edge_rows():
+    config = ScoringConfig()
+    salinity = VariableEntry.from_written("salinity", "u", 10, 0.0, 1.0, 0.5, 0.1)
+    empty_count = VariableEntry.from_written("salinity", "u", 0, 0.0, 30.0, 1.0, 1.0)
+    nan_minimum = VariableEntry.from_written("salinity", "u", 10, math.nan, 30.0, 1.0, 1.0)
+    excluded = VariableEntry.from_written("salinity", "u", 10, 10.0, 20.0, 1.0, 1.0)
+    excluded.excluded = True
+    wind = VariableEntry.from_written("wind", "u", 10, 12.0, 18.0, 1.0, 1.0)
+    feats = [
+        _feature(0, []),                        # no variables
+        _feature(1, [excluded]),                # only an excluded one
+        _feature(2, [empty_count]),             # count == 0
+        _feature(3, [nan_minimum]),             # NaN minimum
+        _feature(4, [salinity]),                # match only by range decay
+        _feature(5, [wind, salinity.copy()]),   # decayed match beside a hit
+        _feature(6, [wind]),                    # no salinity at all
+    ]
+    view = ColumnarSnapshot(feats, version=1)
+    ranged = VariableTerm("salinity", low=10.0, high=20.0)
+    query = Query(variables=(ranged, VariableTerm(UNMATCHED)))
+    cscorer = ColumnarScorer(QueryScorer(query, config=config), view)
+    assert not cscorer._term_sim_arrays[1].any()  # really unmatched
+    exact = assert_matches_scalar(cscorer, range(len(view)))
+    # Only rows whose name match went through the range decay lose the
+    # bit-exact guarantee; they still score above zero.
+    assert exact.tolist() == [True, True, True, True, False, False, True]
+    approx, __ = cscorer.approximate_totals(range(len(view)))
+    assert approx[4] > 0.0 and approx[5] > 0.0
+    assert approx[[0, 1, 2, 3, 6]].tolist() == [0.0] * 5
+    # A NaN maximum under an open-ended range makes the similarity NaN,
+    # which the scalar loop never keeps as its best.
+    nan_maximum = VariableEntry.from_written(
+        "salinity", "u", 10, 12.0, math.nan, 1.0, 1.0
+    )
+    view = ColumnarSnapshot([_feature(0, [nan_maximum])], version=1)
+    above = Query(variables=(VariableTerm("salinity", low=10.0),))
+    cscorer = ColumnarScorer(QueryScorer(above, config=config), view)
+    assert_matches_scalar(cscorer, range(1))
+    assert cscorer.approximate_totals(range(1))[0].tolist() == [0.0]
+    # The empty query: every row scores the neutral 1.0, exactly.
+    empty = ColumnarScorer(QueryScorer(Query(), config=config), view)
+    approx, exact = empty.approximate_totals(range(len(view)))
+    assert approx.tolist() == [1.0] * len(view) and exact.all()
 
 
 @given(

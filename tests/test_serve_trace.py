@@ -3,27 +3,31 @@
 The PR-9 acceptance contract: a single ``/search`` served over real
 sockets through process-pool scoring must leave behind **one coherent
 span tree** in the shared telemetry — the HTTP span at the root, the
-service span, the engine's query and prefilter spans, and the pool
-workers' ``procpool.chunk`` spans re-parented under it across the
-pickle boundary — and every span in that tree must carry the same
+service span, the engine's query span, and the pool workers'
+``procpool.chunk`` spans re-parented under it across the pickle
+boundary — and every span in that tree must carry the same
 deterministic ``request_id`` stamp.
 
 Also pinned here: the request-context scratchpad (``cache_hit``,
-``candidates_in/out``, ``results``, ``snapshot_version``) that the
-access log and flight recorder read, and the id counter's determinism
-(``req-000001`` onward in admission order).
+``rows_approximated``/``rows_rescored``, ``results``,
+``snapshot_version``) that the access log and flight recorder read, and
+the id counter's determinism (``req-000001`` onward in admission order).
 """
 
 from __future__ import annotations
 
 import http.client
 import json
+import sys
+import threading
 import time
 
 import pytest
 
 from repro.catalog import MemoryCatalog
 from repro.catalog.records import DatasetFeature, VariableEntry
+from repro.core.qparser import parse_query
+from repro.core.search import SearchEngine
 from repro.geo import BoundingBox, TimeInterval
 from repro.obs import RequestContext, Telemetry, use_request, use_telemetry
 from repro.serve import SearchHTTPServer, SearchService, ServeConfig
@@ -114,7 +118,6 @@ class TestOneRequestOneTree:
             "http.request",
             "serve.request",
             "search.query",
-            "search.prefilter",
             "procpool.chunk",
         } <= names, names
 
@@ -163,6 +166,20 @@ class TestOneRequestOneTree:
         for span in shard_spans:
             assert span.path.startswith("http.request/"), span.path
 
+    def test_sharded_scan_tallies_every_row_once(self, catalog):
+        """Shard threads add their rows to the one request context."""
+        engine = SearchEngine(
+            catalog, cache=False, shard_workers=3, shard_threshold=1
+        )
+        context = RequestContext("req-shards")
+        try:
+            with use_request(context):
+                engine.search(parse_query("with salinity"), limit=3)
+        finally:
+            engine.close()
+        assert context.attrs["rows_approximated"] == len(catalog)
+        assert 1 <= context.attrs["rows_rescored"] <= len(catalog)
+
     def test_request_ids_are_deterministic_and_sequential(self, catalog):
         service = SearchService(catalog)
         server = SearchHTTPServer(service, port=0).start()
@@ -195,11 +212,16 @@ class TestOneRequestOneTree:
         }
         first = by_id["req-000001"]
         assert first["attrs"]["cache_hit"] is False
-        assert first["attrs"]["candidates_in"] == 12
+        # A miss approximates all 12 rows in one pass and rescores at
+        # least the page's rows; a hit scores nothing.
+        assert first["attrs"]["rows_approximated"] == 12
+        assert 1 <= first["attrs"]["rows_rescored"] <= 12
         assert first["attrs"]["results"] >= 1
         assert first["attrs"]["snapshot_version"] >= 1
         second = by_id["req-000002"]
         assert second["attrs"]["cache_hit"] is True
+        assert second["attrs"]["rows_approximated"] == 0
+        assert second["attrs"]["rows_rescored"] == 0
 
     def test_disabled_telemetry_serves_without_stamping(self, catalog):
         service = SearchService(catalog, telemetry=Telemetry(enabled=False))
@@ -237,6 +259,26 @@ class TestRequestContextUnit:
         assert context.attrs == {
             "cache_hit": False, "results": 3, "snapshot_version": 7
         }
+
+    def test_tally_adds_across_threads(self):
+        context = RequestContext("req-x")
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+
+        def work() -> None:
+            for __ in range(2000):
+                context.tally(rows=1, pairs=2)
+
+        threads = [threading.Thread(target=work) for __ in range(8)]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert context.attrs == {"rows": 16000, "pairs": 32000}
 
     def test_parented_nests_a_borrowed_path(self):
         telemetry = Telemetry()

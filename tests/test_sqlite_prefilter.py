@@ -1,12 +1,12 @@
-"""SQLite pushdown prefilter: modes, legacy files, exactness.
+"""SQLite candidate range scans, legacy files, exactness.
 
-The prefilter ladder (DESIGN note 15): indexed min/max range scans over
-the ``datasets`` table, else the engine's in-memory
-:class:`~repro.catalog.index.CatalogIndexes`, else an unpruned full
-scan.  Every rung must return a *superset* of the datasets whose
-indexed term is above epsilon — these tests pin that, the reopening of
-catalog files written by older builds with the R*Tree prefilter, and
-the end-to-end exactness of pages served through each rung.
+No search reads ``SqliteCatalog.prefilter_candidates_near`` /
+``_overlapping`` any more (every miss scores all rows in one array
+pass), but while they exist each must return a *superset* of the
+datasets whose indexed term is above epsilon.  These tests pin that,
+the reopening of catalog files written by older builds with the R*Tree
+prefilter, and that a SQLite-backed engine serves the object scorer's
+pages however it is set up.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from repro.catalog.records import DatasetFeature, VariableEntry
 from repro.core.query import Query, VariableTerm
 from repro.core.search import SearchEngine
 from repro.geo import BoundingBox, GeoPoint, TimeInterval
-from repro.obs import Telemetry, use_telemetry
 
 
 def _build_has_rtree() -> bool:
@@ -149,16 +148,6 @@ def catalog_for(tmp_path, features: list[DatasetFeature], legacy: bool):
     return store
 
 
-class TestCapabilityProbe:
-    def test_default_mode_matches_build(self):
-        with SqliteCatalog() as store:
-            assert store.prefilter_mode == "range"
-
-    def test_prefilter_opt_out_gives_none(self):
-        with SqliteCatalog(enable_prefilter=False) as store:
-            assert store.prefilter_mode == "none"
-
-
 @needs_rtree
 class TestDegradationSurvival:
     """A catalog file written by an older build with the R*Tree
@@ -177,7 +166,6 @@ class TestDegradationSurvival:
         write_legacy_catalog(path, spread_features(8))
         with SqliteCatalog(path) as store:
             assert self._schema(store) == []
-            assert store.prefilter_mode == "range"
             assert store.upsert_many([make_feature(90), make_feature(91)]) == 2
             assert store.apply_batch(
                 upserts=[make_feature(3, lat=50.0, lon=-90.0)],
@@ -268,6 +256,10 @@ class TestConservativeSuperset:
 
 
 class TestEngineLadder:
+    """No setup of the engine narrows the scan: over a live store, over
+    a snapshot, with or without indexes attached, every search serves
+    the object scorer's page."""
+
     def _queries(self) -> list[Query]:
         return [
             Query(
@@ -280,13 +272,14 @@ class TestEngineLadder:
         ]
 
     def _pages(self, engine: SearchEngine) -> list:
-        return [
-            [
-                (r.dataset_id, r.score, r.breakdown)
-                for r in engine.search(q, limit=10)
-            ]
-            for q in self._queries()
-        ]
+        pages = []
+        for q in self._queries():
+            results = engine.search(q, limit=10)
+            pages.append((
+                [(r.dataset_id, r.score, r.breakdown) for r in results],
+                results.total_matches,
+            ))
+        return pages
 
     def test_every_rung_serves_the_same_page(self):
         features = spread_features(60)
@@ -295,39 +288,10 @@ class TestEngineLadder:
         baseline = SearchEngine(reference, cache=False, columnar=False)
         expected = self._pages(baseline)
 
-        for store in (
-            SqliteCatalog(),                        # range
-            SqliteCatalog(enable_prefilter=False),  # none: full scan
-        ):
-            with store:
-                store.upsert_many(features)
-                engine = SearchEngine(store, cache=False)
-                assert self._pages(engine) == expected
-        # ...and the in-memory index rung over the same store.
-        with SqliteCatalog(enable_prefilter=False) as store:
-            store.upsert_many(features)
-            engine = SearchEngine(store, cache=False)
-            engine.build_indexes()
-            assert self._pages(engine) == expected
-
-    def test_pushdown_vs_python_counters(self):
-        features = spread_features(30)
-        telemetry = Telemetry()
         with SqliteCatalog() as store:
             store.upsert_many(features)
-            with use_telemetry(telemetry):
-                engine = SearchEngine(store, cache=False)
-                engine.search(self._queries()[0], limit=5)
-                assert telemetry.counter("prefilter.pushdown") == 1
-                assert telemetry.counter("prefilter.python") == 0
-                # In-memory indexes outrank the pushdown once built.
+            for catalog in (store, store.snapshot()):
+                engine = SearchEngine(catalog, cache=False)
+                assert self._pages(engine) == expected
                 engine.build_indexes()
-                engine.search(self._queries()[1], limit=5)
-                assert telemetry.counter("prefilter.python") == 1
-                assert telemetry.counter("prefilter.candidates_in") > 0
-
-
-def test_memory_catalog_has_no_pushdown():
-    catalog = MemoryCatalog()
-    engine = SearchEngine(catalog, cache=False)
-    assert engine.stats()["prefilter_mode"] == "none"
+                assert self._pages(engine) == expected
