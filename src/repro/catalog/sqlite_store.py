@@ -21,6 +21,22 @@ serving layer call :meth:`snapshot` from any thread; concurrent
 *searches* then run against the returned
 :class:`~repro.catalog.store.CatalogSnapshot` without touching the
 connection at all.
+
+A store that knows its whole content keeps a write-through *mirror*:
+the features as a disk read would rebuild them, stamped with the
+catalog version they are valid at.  It is seeded when the database is
+empty at open, refilled by every full :meth:`~SqliteCatalog.snapshot`
+read, and advanced by each of this connection's own committed writes,
+so serving a catalog just published through this connection never reads
+it back.  Each entry is built from the very row tuples bound to the
+INSERTs, normalised to what SQLite stores and decoded by the same
+``_feature_from_row``/``_variable_from_row`` as a disk read, which makes
+it equal to one by construction.  A write from another connection (the
+version moves by more than our own bump), a bulk SQL sweep
+(``rename_*``/``set_*``) or :meth:`~SqliteCatalog.close` drops it, and
+the next :meth:`~SqliteCatalog.snapshot` reads the disk again.  Point
+reads (``get``, ``features``, ``len``, ``dataset_ids``) always run
+against the database, so other connections' writes stay visible.
 """
 
 from __future__ import annotations
@@ -98,6 +114,112 @@ CREATE TABLE IF NOT EXISTS catalog_meta (
 INSERT OR IGNORE INTO catalog_meta (key, value) VALUES ('version', 0);
 """
 
+# -- what SQLite hands back for a bound value ----------------------------------
+#
+# The mirror decodes the tuples it bound, so first they are brought to
+# the values a read of the same rows returns.  A value whose stored form
+# is not known here (a non-``str`` in a TEXT column, a ``str`` in a
+# numeric one) raises TypeError, and the caller drops the mirror.
+
+#: Reals strictly inside this range that are integral come back from an
+#: INTEGER column as ints (SQLite's integer affinity).
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+
+
+def _as_real(value) -> float:
+    """A REAL column's read-back: a float, and ``-0.0`` as ``0.0``
+    (SQLite stores an integral real as an integer)."""
+    if isinstance(value, (int, float)):
+        return float(value) + 0.0
+    raise TypeError(f"not a number: {value!r}")
+
+
+def _as_integer(value):
+    """An INTEGER column's read-back: an int, or a float when the real
+    is not integral or lies outside the 64-bit range."""
+    if isinstance(value, int):
+        return int(value)
+    if isinstance(value, float):
+        value = float(value)
+        if value.is_integer() and _INT64_MIN < value < _INT64_MAX:
+            return int(value)
+        return value
+    raise TypeError(f"not a number: {value!r}")
+
+
+def _as_text(value) -> str:
+    if type(value) is str:
+        return value
+    raise TypeError(f"not a str: {value!r}")
+
+
+# The two row functions check the common shape (str, int and float
+# exactly where the schema says) inline, and leave every other value to
+# the helpers above; in that shape only ``-0.0`` changes, so a row with
+# no zero real is returned as it is.
+
+
+def _stored_dataset_row(row: tuple) -> tuple:
+    """A bound ``datasets`` row as a read of it returns it."""
+    (
+        dataset_id, title, platform, file_format,
+        min_lat, min_lon, max_lat, max_lon, start, end,
+        row_count, source_dir, attributes, content_hash,
+    ) = row
+    if not (
+        str is type(dataset_id) is type(title) is type(platform)
+        is type(file_format) is type(source_dir) is type(attributes)
+        is type(content_hash)
+        and type(row_count) is int
+        and float is type(min_lat) is type(min_lon) is type(max_lat)
+        is type(max_lon) is type(start) is type(end)
+    ):
+        return (
+            *map(_as_text, row[:4]),
+            *map(_as_real, row[4:10]),
+            _as_integer(row_count),
+            *map(_as_text, row[11:]),
+        )
+    if min_lat and min_lon and max_lat and max_lon and start and end:
+        return row  # no zero, so no -0.0: stored exactly as bound
+    return (
+        dataset_id, title, platform, file_format,
+        min_lat + 0.0, min_lon + 0.0, max_lat + 0.0, max_lon + 0.0,
+        start + 0.0, end + 0.0,
+        row_count, source_dir, attributes, content_hash,
+    )
+
+
+def _stored_variable_row(row: tuple) -> tuple:
+    """A bound ``variables`` row as a read of it returns it."""
+    (
+        dataset_id, position, written_name, written_unit, name, unit,
+        count, minimum, maximum, mean, stddev,
+        excluded, ambiguous, context, resolution,
+    ) = row
+    if not (
+        str is type(dataset_id) is type(written_name)
+        is type(written_unit) is type(name) is type(unit)
+        is type(context) is type(resolution)
+        and type(count) is int
+        and float is type(minimum) is type(maximum) is type(mean)
+        is type(stddev)
+    ):
+        return (
+            _as_text(dataset_id), position,
+            *map(_as_text, row[2:6]),
+            _as_integer(count),
+            *map(_as_real, row[7:11]),
+            excluded, ambiguous, _as_text(context), _as_text(resolution),
+        )
+    if minimum and maximum and mean and stddev:
+        return row  # no zero, so no -0.0: stored exactly as bound
+    return (
+        dataset_id, position, written_name, written_unit, name, unit,
+        count, minimum + 0.0, maximum + 0.0, mean + 0.0, stddev + 0.0,
+        excluded, ambiguous, context, resolution,
+    )
+
 
 class SqliteCatalog(CatalogStore):
     """A :class:`CatalogStore` persisted in SQLite.
@@ -138,6 +260,17 @@ class SqliteCatalog(CatalogStore):
         # Catalog files written by older builds carry R*Tree triggers
         # that double the cost of every ``datasets`` write; drop them.
         self._drop_rtree_artifacts()
+        # The write-through mirror (module docstring): id -> feature,
+        # valid while the live version equals ``_mirror_version``.  An
+        # empty database is known in full, so it starts with one.
+        self._mirror: dict[str, DatasetFeature] | None = None
+        self._mirror_version = -1
+        version, count = self._conn.execute(
+            "SELECT (SELECT value FROM catalog_meta WHERE key = 'version'),"
+            " (SELECT COUNT(*) FROM datasets)"
+        ).fetchone()
+        if count == 0:
+            self._mirror, self._mirror_version = {}, version
 
     def _drop_rtree_artifacts(self) -> None:
         """Remove the R*Tree prefilter tables and triggers of old builds.
@@ -259,16 +392,27 @@ class SqliteCatalog(CatalogStore):
     def snapshot(self, attempts: int = 16) -> CatalogSnapshot:
         """A frozen, version-consistent copy of the whole catalog.
 
-        Version and content are read under the connection lock, so the
-        snapshot can never straddle a write transaction — a publish
-        batch is either fully visible or not at all.
+        When the mirror is valid at the live version, the snapshot is
+        built from it and nothing else is read.  Otherwise version and
+        content are read in one read transaction under the connection
+        lock, so the snapshot can never straddle a write transaction of
+        this connection or another — a publish batch is either fully
+        visible or not at all — and that read refills the mirror.
         """
         with self._lock:
-            version = self.version
-            features = {
-                feature.dataset_id: feature
-                for feature in self.features()
-            }
+            self._conn.execute("BEGIN")
+            try:
+                version = self.version
+                mirror = self._mirror
+                if mirror is not None and self._mirror_version == version:
+                    return CatalogSnapshot(mirror, version=version)
+                features = {
+                    feature.dataset_id: feature
+                    for feature in self.features()
+                }
+            finally:
+                self._conn.commit()
+            self._mirror, self._mirror_version = features, version
         return CatalogSnapshot(features, version=version)
 
     def snapshot_cow(
@@ -283,8 +427,9 @@ class SqliteCatalog(CatalogStore):
         Same contract as :meth:`CatalogStore.snapshot_cow`; the version
         check and the per-id reads share the connection lock, so the
         delta rows cannot straddle a concurrent write transaction.
-        Small deltas pay the per-dataset two-query :meth:`get` cost,
-        which is still far below the grouped full read for the
+        When the mirror is valid at that version the delta's features
+        come from it; otherwise each pays the two-query :meth:`get`
+        cost, which is still far below the grouped full read for the
         refresh-sized deltas this path exists for.
         """
         with self._lock:
@@ -293,23 +438,105 @@ class SqliteCatalog(CatalogStore):
                 return None
             if version == previous.version:
                 return previous
+            mirror = self._mirror if self._mirror_version == version else None
             upserts = {}
             gone = list(removed)
             for dataset_id in upserted:
+                if mirror is not None:
+                    feature = mirror.get(dataset_id)
+                    if feature is None:
+                        gone.append(dataset_id)
+                    else:
+                        upserts[dataset_id] = feature
+                    continue
                 try:
                     upserts[dataset_id] = self.get(dataset_id)
                 except DatasetNotFoundError:
                     gone.append(dataset_id)
             return previous.evolve(upserts, gone, version=version)
 
-    def _bump_version(self) -> None:
-        """Bump inside the caller's transaction."""
+    def _bump_version(self) -> int:
+        """Bump inside the caller's transaction; the new version."""
         self._conn.execute(
             "UPDATE catalog_meta SET value = value + 1 WHERE key = 'version'"
         )
+        (value,) = self._conn.execute(
+            "SELECT value FROM catalog_meta WHERE key = 'version'"
+        ).fetchone()
+        return value
+
+    def _write_features(
+        self, features: Iterable[DatasetFeature]
+    ) -> list[DatasetFeature] | None:
+        """Write ``features`` in order inside the caller's transaction.
+
+        While there is a mirror, each feature's mirror entry is built
+        right after its rows are bound, while they are still hot; the
+        entries are returned for :meth:`_advance_mirror` to apply once
+        the transaction commits.  ``None`` means there is nothing to
+        apply: no mirror, or a row whose stored form is not known.
+        """
+        entries: list[DatasetFeature] | None = (
+            [] if self._mirror is not None else None
+        )
+        strings: dict[str, str] = {}
+        for feature in features:
+            rows = self._write_feature(feature)
+            if entries is not None:
+                try:
+                    entries.append(self._mirror_entry(rows, strings))
+                except (TypeError, ValueError):
+                    entries = None
+        return entries
+
+    def _mirror_entry(
+        self, rows: tuple, strings: dict[str, str]
+    ) -> DatasetFeature:
+        """What a disk read of the ``(dataset row, variable rows)`` just
+        bound returns.  An override of :meth:`_write_feature` that
+        returns no rows raises TypeError here, like an unknown value."""
+        row, variable_rows = rows
+        return self._feature_from_row(
+            _stored_dataset_row(row),
+            variables=[
+                self._variable_from_row(_stored_variable_row(v), strings)
+                for v in variable_rows
+            ],
+        )
+
+    def _advance_mirror(
+        self,
+        version: int,
+        entries: Iterable[DatasetFeature] | None = (),
+        removed: Iterable[str] = (),
+        cleared: bool = False,
+    ) -> None:
+        """Apply one committed write of this connection to the mirror.
+
+        ``version`` is the version our bump produced; unless it is the
+        mirror's + 1, another connection wrote in between, and the
+        mirror is dropped (as it is when ``entries`` is ``None``).  The
+        change is applied in SQL order: the clear, the upserts, then
+        the removals.
+        """
+        mirror = self._mirror
+        if mirror is None:
+            return
+        if entries is None or version != self._mirror_version + 1:
+            self._mirror = None
+            return
+        if cleared:
+            mirror.clear()
+        for feature in entries:
+            mirror[feature.dataset_id] = feature
+        for dataset_id in removed:
+            mirror.pop(dataset_id, None)
+        self._mirror_version = version
 
     def close(self) -> None:
-        """Close the underlying connection."""
+        """Close the underlying connection (and drop the mirror)."""
+        with self._lock:
+            self._mirror = None
         self._conn.close()
 
     def __enter__(self) -> "SqliteCatalog":
@@ -362,27 +589,35 @@ class SqliteCatalog(CatalogStore):
             for position, v in enumerate(feature.variables)
         ]
 
-    def _write_feature(self, feature: DatasetFeature) -> None:
-        """Insert-or-replace one feature inside the caller's transaction."""
+    def _write_feature(self, feature: DatasetFeature) -> tuple:
+        """Insert-or-replace one feature inside the caller's transaction.
+
+        Returns the ``(dataset row, variable rows)`` tuples it bound,
+        from which the mirror builds its entry.
+        """
+        row = self._dataset_row(feature)
+        variable_rows = self._variable_rows(feature)
         self._conn.execute(
             "DELETE FROM datasets WHERE dataset_id = ?",
             (feature.dataset_id,),
         )
         self._conn.execute(
             "INSERT INTO datasets VALUES (?,?,?,?,?,?,?,?,?,?,?,?,?,?)",
-            self._dataset_row(feature),
+            row,
         )
         self._conn.executemany(
             "INSERT INTO variables VALUES "
             "(?,?,?,?,?,?,?,?,?,?,?,?,?,?,?)",
-            self._variable_rows(feature),
+            variable_rows,
         )
+        return row, variable_rows
 
     def upsert(self, feature: DatasetFeature) -> None:
         def write() -> None:
             with self._conn:
-                self._write_feature(feature)
-                self._bump_version()
+                entries = self._write_features([feature])
+                version = self._bump_version()
+            self._advance_mirror(version, entries)
 
         self._write(write, f"upsert:{feature.dataset_id}")
 
@@ -398,14 +633,13 @@ class SqliteCatalog(CatalogStore):
         batch = list(features)
 
         def write() -> int:
-            count = 0
             with self._conn:
-                for feature in batch:
-                    self._write_feature(feature)
-                    count += 1
-                if count:
-                    self._bump_version()
-            return count
+                entries = self._write_features(batch)
+                if batch:
+                    version = self._bump_version()
+            if batch:
+                self._advance_mirror(version, entries)
+            return len(batch)
 
         return self._write(write, "upsert_many")
 
@@ -423,20 +657,27 @@ class SqliteCatalog(CatalogStore):
         """One variables row as an entry, its string fields interned
         through ``strings`` (shared across the rows of one read)."""
         intern = strings.setdefault
+        (
+            __, __, written_name, written_unit, name, unit,
+            count, minimum, maximum, mean, stddev,
+            excluded, ambiguous, context, resolution,
+        ) = v
+        # Positional: keyword arguments cost a third more, paid on every
+        # row of a full read and of every mirrored write.
         return VariableEntry(
-            written_name=intern(v[2], v[2]),
-            written_unit=intern(v[3], v[3]),
-            name=intern(v[4], v[4]),
-            unit=intern(v[5], v[5]),
-            count=v[6],
-            minimum=v[7],
-            maximum=v[8],
-            mean=v[9],
-            stddev=v[10],
-            excluded=bool(v[11]),
-            ambiguous=bool(v[12]),
-            context=intern(v[13], v[13]),
-            resolution=intern(v[14], v[14]),
+            intern(written_name, written_name),
+            intern(written_unit, written_unit),
+            intern(name, name),
+            intern(unit, unit),
+            count,
+            minimum,
+            maximum,
+            mean,
+            stddev,
+            bool(excluded),
+            bool(ambiguous),
+            intern(context, context),
+            intern(resolution, resolution),
         )
 
     def _feature_from_row(
@@ -480,7 +721,9 @@ class SqliteCatalog(CatalogStore):
                     (dataset_id,),
                 )
                 if cursor.rowcount:
-                    self._bump_version()
+                    version = self._bump_version()
+            if cursor.rowcount:
+                self._advance_mirror(version, removed=[dataset_id])
             return cursor.rowcount
 
         if self._write(write, f"remove:{dataset_id}") == 0:
@@ -499,7 +742,9 @@ class SqliteCatalog(CatalogStore):
                     )
                     removed += cursor.rowcount
                 if removed:
-                    self._bump_version()
+                    version = self._bump_version()
+            if removed:
+                self._advance_mirror(version, removed=batch)
             return removed
 
         return self._write(write, "remove_many")
@@ -554,7 +799,8 @@ class SqliteCatalog(CatalogStore):
             with self._conn:
                 self._conn.execute("DELETE FROM variables")
                 self._conn.execute("DELETE FROM datasets")
-                self._bump_version()
+                version = self._bump_version()
+            self._advance_mirror(version, cleared=True)
 
         self._write(write, "clear")
 
@@ -573,21 +819,20 @@ class SqliteCatalog(CatalogStore):
         removal_batch = list(removals)
 
         def write() -> tuple[int, int]:
-            upserted = 0
             removed = 0
             with self._conn:
-                for feature in upsert_batch:
-                    self._write_feature(feature)
-                    upserted += 1
+                entries = self._write_features(upsert_batch)
                 for dataset_id in removal_batch:
                     cursor = self._conn.execute(
                         "DELETE FROM datasets WHERE dataset_id = ?",
                         (dataset_id,),
                     )
                     removed += cursor.rowcount
-                if upserted or removed:
-                    self._bump_version()
-            return upserted, removed
+                if upsert_batch or removed:
+                    version = self._bump_version()
+            if upsert_batch or removed:
+                self._advance_mirror(version, entries, removal_batch)
+            return len(upsert_batch), removed
 
         return self._write(write, "apply_batch")
 
@@ -603,9 +848,9 @@ class SqliteCatalog(CatalogStore):
             with self._conn:
                 self._conn.execute("DELETE FROM variables")
                 self._conn.execute("DELETE FROM datasets")
-                for feature in batch:
-                    self._write_feature(feature)
-                self._bump_version()
+                entries = self._write_features(batch)
+                version = self._bump_version()
+            self._advance_mirror(version, entries, cleared=True)
             return len(batch)
 
         return self._write(write, "replace_all")
@@ -629,6 +874,8 @@ class SqliteCatalog(CatalogStore):
                     changed += cursor.rowcount
                 if changed:
                     self._bump_version()
+            if changed:
+                self._mirror = None  # a sweep has no rows to mirror
             return changed
 
         return self._write(write, "rename_variables")
@@ -647,6 +894,8 @@ class SqliteCatalog(CatalogStore):
                     changed += cursor.rowcount
                 if changed:
                     self._bump_version()
+            if changed:
+                self._mirror = None  # a sweep has no rows to mirror
             return changed
 
         return self._write(write, "rename_units")
@@ -666,6 +915,8 @@ class SqliteCatalog(CatalogStore):
                     changed += cursor.rowcount
                 if changed:
                     self._bump_version()
+            if changed:
+                self._mirror = None  # a sweep has no rows to mirror
             return changed
 
         return self._write(write, "set_excluded")
@@ -685,6 +936,8 @@ class SqliteCatalog(CatalogStore):
                     changed += cursor.rowcount
                 if changed:
                     self._bump_version()
+            if changed:
+                self._mirror = None  # a sweep has no rows to mirror
             return changed
 
         return self._write(write, "set_ambiguous")
