@@ -2,10 +2,10 @@
 
 Exercises the serving stack end to end on a large synthetic catalog:
 
-* **exactness** — the service's pages (snapshot + shared cache +
-  optional sharded scoring + the process-pool scorer) must be identical
-  (ids, scores, order) to a serial single-threaded engine over the same
-  catalog, for every benchmark query,
+* **exactness** — the service's pages (snapshot + shared cache), on a
+  cache miss and again on a hit, must be identical (ids, scores, order)
+  to a single-threaded engine over the same catalog, for every
+  benchmark query,
 * **scaling** — closed-loop client threads with think time replay a
   Zipf-weighted workload at increasing concurrency; the report captures
   QPS and p50/p95/p99 latency per client count,
@@ -13,9 +13,6 @@ Exercises the serving stack end to end on a large synthetic catalog:
   client owns a kept-alive connection to a
   :class:`~repro.serve.http.SearchHTTPServer` and the measured path
   includes the qparser, JSON encoding and the socket round trip,
-* **pool comparison** — socket load at the top client count against a
-  thread-sharded service vs a process-pool service (DESIGN note 16),
-  recording both QPS figures side by side,
 * **churn** — in-process and socket load while a background writer
   keeps publishing atomic catalog batches and refreshing the service's
   snapshot through the stamped-delta O(changed) path; requests must
@@ -38,11 +35,8 @@ the GIL, so the scaling phase measures the *closed-loop* model — each
 client thinks between requests (``think_ms``), so added clients overlap
 their think time and throughput rises until execution slots saturate.
 That is the latency-hiding concurrency a portal front door actually
-provides; it is not a claim of parallel CPU speedup.  The pool
-comparison records ``cpu_count`` alongside its numbers: on a single
-hardware thread the process pool pays IPC for no parallel gain, so its
-QPS is expected to trail the thread ceiling there, and the comparison
-is reported rather than gated unless multiple CPUs are present.
+provides; it is not a claim of parallel CPU speedup.  The report
+records ``cpu_count`` alongside its numbers.
 
 Gates (full runs): the in-process scaling factor (QPS at 8 clients >
 2x QPS at 1 client), zero errors everywhere, zero HTTP 5xx, churn
@@ -129,28 +123,13 @@ def synthetic_query_texts(n_queries: int, seed: int) -> list[str]:
     return texts
 
 
-def check_exactness(catalog, queries, hierarchy, limit, shard_workers):
-    """Serial engine vs sharded engine vs the service: same pages."""
+def check_exactness(catalog, queries, hierarchy, limit):
+    """Serial engine vs the service: same pages."""
     serial = SearchEngine(catalog, hierarchy=hierarchy, cache=False)
     expected = [page(serial.search(q, limit=limit)) for q in queries]
 
     mismatches = 0
-    sharded = SearchEngine(
-        catalog, hierarchy=hierarchy, cache=False,
-        shard_workers=shard_workers, shard_threshold=1,
-    )
-    try:
-        for query, want in zip(queries, expected):
-            if page(sharded.search(query, limit=limit)) != want:
-                mismatches += 1
-                print(f"  SHARDED MISMATCH for {query.describe()!r}")
-    finally:
-        sharded.close()
-
-    config = ServeConfig(
-        max_concurrency=4, queue_depth=16,
-        shard_workers=shard_workers, shard_threshold=1,
-    )
+    config = ServeConfig(max_concurrency=4, queue_depth=16)
     with SearchService(
         catalog, hierarchy=hierarchy, config=config
     ) as service:
@@ -161,21 +140,6 @@ def check_exactness(catalog, queries, hierarchy, limit, shard_workers):
                 if got != want:
                     mismatches += 1
                     print(f"  SERVICE MISMATCH for {query.describe()!r}")
-
-    # The process-pool rung (DESIGN note 16): worker processes over the
-    # shipped snapshot must reproduce the serial page exactly too.
-    pooled_config = ServeConfig(
-        max_concurrency=4, queue_depth=16,
-        score_workers=2, score_min_rows=1,
-    )
-    with SearchService(
-        catalog, hierarchy=hierarchy, config=pooled_config
-    ) as service:
-        for query, want in zip(queries, expected):
-            got = page(service.search(query, limit=limit).results)
-            if got != want:
-                mismatches += 1
-                print(f"  POOL MISMATCH for {query.describe()!r}")
     return mismatches
 
 
@@ -393,15 +357,12 @@ def _http_row(report) -> dict:
 
 
 def http_scaling_phase(catalog, texts, hierarchy, client_counts,
-                       requests_per_client, think_seconds, limit, seed,
-                       score_workers=None):
+                       requests_per_client, think_seconds, limit, seed):
     """Closed-loop load over real sockets at each client count."""
     rows = {}
     for clients in client_counts:
         config = ServeConfig(
             max_concurrency=max(8, clients), queue_depth=4 * clients,
-            score_workers=score_workers,
-            score_min_rows=1 if score_workers else 256,
         )
         service = SearchService(catalog, hierarchy=hierarchy, config=config)
         with SearchHTTPServer(service, port=0).start() as server:
@@ -422,44 +383,6 @@ def http_scaling_phase(catalog, texts, hierarchy, client_counts,
             f"statuses {report.status_counts}"
         )
     return rows
-
-
-def pool_comparison_phase(catalog, texts, hierarchy, clients,
-                          requests_per_client, think_seconds, limit, seed):
-    """Thread ceiling vs process pool: socket QPS at one client count.
-
-    Recorded, not gated, on single-CPU hosts: without a second hardware
-    thread the pool pays snapshot-shipping IPC for no parallel gain.
-    """
-    comparison = {"clients": clients, "cpu_count": os.cpu_count() or 1}
-    for label, shard_workers, score_workers in (
-        ("threads", 2, None),
-        ("procpool", None, 2),
-    ):
-        config = ServeConfig(
-            max_concurrency=max(8, clients), queue_depth=4 * clients,
-            shard_workers=shard_workers, shard_threshold=1,
-            score_workers=score_workers,
-            score_min_rows=1 if score_workers else 256,
-        )
-        service = SearchService(catalog, hierarchy=hierarchy, config=config)
-        with SearchHTTPServer(service, port=0).start() as server:
-            report = run_load_http(
-                server.url,
-                texts,
-                clients=clients,
-                requests_per_client=requests_per_client,
-                think_seconds=think_seconds,
-                limit=limit,
-                seed=seed + 2,
-            )
-        comparison[label] = _http_row(report)
-        print(
-            f"  {label:8s}: {report.qps:8.1f} qps  "
-            f"p99 {report.latency_p99 * 1000:6.2f} ms  "
-            f"errors {report.errors}"
-        )
-    return comparison
 
 
 def http_churn_phase(catalog, texts, hierarchy, clients,
@@ -584,7 +507,7 @@ def observability_overhead_phase(catalog, texts, hierarchy, clients,
 
 
 def run(n_datasets, n_queries, client_counts, requests_per_client,
-        think_ms, limit, shard_workers, seed) -> dict:
+        think_ms, limit, seed) -> dict:
     hierarchy = vocabulary_hierarchy()
     print(f"generating {n_datasets} synthetic datasets ...")
     catalog = synthetic_catalog(n_datasets, seed=7)
@@ -592,9 +515,7 @@ def run(n_datasets, n_queries, client_counts, requests_per_client,
     think_seconds = think_ms / 1000.0
 
     print("checking service exactness against the serial engine ...")
-    mismatches = check_exactness(
-        catalog, queries, hierarchy, limit, shard_workers
-    )
+    mismatches = check_exactness(catalog, queries, hierarchy, limit)
     if mismatches:
         print(f"exactness FAILED on {mismatches} pages")
         return {"exactness_ok": False, "mismatches": mismatches}
@@ -611,12 +532,6 @@ def run(n_datasets, n_queries, client_counts, requests_per_client,
     http_scaling = http_scaling_phase(
         catalog, texts, hierarchy, client_counts,
         requests_per_client, think_seconds, limit, seed,
-    )
-
-    print("pool comparison: thread ceiling vs process pool (think 0) ...")
-    pool_comparison = pool_comparison_phase(
-        catalog, texts, hierarchy, max(client_counts),
-        requests_per_client, 0.0, limit, seed,
     )
 
     print("churn: load under concurrent re-publishing ...")
@@ -666,9 +581,7 @@ def run(n_datasets, n_queries, client_counts, requests_per_client,
     high = str(max(client_counts))
     total_rejected = sum(row["rejected"] for row in scaling.values())
     total_errors = sum(row["errors"] for row in scaling.values())
-    http_rows = list(http_scaling.values()) + [
-        pool_comparison["threads"], pool_comparison["procpool"], http_churn,
-    ]
+    http_rows = list(http_scaling.values()) + [http_churn]
     http_errors = sum(row["errors"] for row in http_rows)
     http_5xx = sum(
         count
@@ -685,11 +598,10 @@ def run(n_datasets, n_queries, client_counts, requests_per_client,
         "limit": limit,
         "think_ms": think_ms,
         "requests_per_client": requests_per_client,
-        "shard_workers": shard_workers,
+        "cpu_count": os.cpu_count() or 1,
         "exactness_ok": True,
         "scaling": scaling,
         "http_scaling": http_scaling,
-        "pool_comparison": pool_comparison,
         "churn": churn,
         "http_churn": http_churn,
         "refresh_cost": refresh_cost,
@@ -733,7 +645,6 @@ def main(argv=None) -> int:
                         help="requests per client per run")
     parser.add_argument("--think-ms", type=float, default=None)
     parser.add_argument("--limit", type=int, default=10)
-    parser.add_argument("--shard-workers", type=int, default=2)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--output", default=None,
@@ -752,7 +663,7 @@ def main(argv=None) -> int:
 
     result = run(
         n_datasets, n_queries, client_counts, requests,
-        think_ms, args.limit, args.shard_workers, args.seed,
+        think_ms, args.limit, args.seed,
     )
     result["quick"] = args.quick
     result["clients"] = client_counts
@@ -805,17 +716,14 @@ def main(argv=None) -> int:
             print(f"{result['rejected']} requests rejected in quick mode")
             return 1
         return 0
-    comparison = result["pool_comparison"]
     print(
         f"scaling {result['qps_low']:.1f} -> {result['qps_high']:.1f} qps "
         f"({result['scaling_factor']:.2f}x), "
         f"p99 {result['latency_p99_ms']:.2f} ms; "
         f"http {result['http_qps_low']:.1f} -> "
         f"{result['http_qps_high']:.1f} qps, "
-        f"p99 {result['http_latency_p99_ms']:.2f} ms; "
-        f"threads {comparison['threads']['qps']:.1f} vs "
-        f"procpool {comparison['procpool']['qps']:.1f} qps "
-        f"({comparison['cpu_count']} cpus), "
+        f"p99 {result['http_latency_p99_ms']:.2f} ms "
+        f"({result['cpu_count']} cpus), "
         f"http max staleness {result['http_max_staleness']}"
     )
     if result["scaling_factor"] <= 2.0:

@@ -149,19 +149,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="admitted requests allowed to wait (default 16)",
     )
     serve.add_argument(
-        "--shard-workers", type=int, default=None,
-        help="threads for sharded scoring (default: serial scoring)",
-    )
-    serve.add_argument(
-        "--shard-threshold", type=int, default=1024,
-        help="candidate count above which scoring shards (default 1024)",
-    )
-    serve.add_argument(
-        "--score-workers", type=int, default=None,
-        help="scoring worker processes sharing the frozen snapshot "
-        "(default: in-process scoring)",
-    )
-    serve.add_argument(
         "--drain-seconds", type=float, default=5.0,
         help="graceful drain budget on shutdown (default 5)",
     )
@@ -232,19 +219,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve_bench.add_argument(
         "--queue-depth", type=int, default=16,
         help="admitted requests allowed to wait (default 16)",
-    )
-    serve_bench.add_argument(
-        "--shard-workers", type=int, default=None,
-        help="threads for sharded scoring (default: serial scoring)",
-    )
-    serve_bench.add_argument(
-        "--shard-threshold", type=int, default=1024,
-        help="candidate count above which scoring shards (default 1024)",
-    )
-    serve_bench.add_argument(
-        "--score-workers", type=int, default=None,
-        help="scoring worker processes for the service "
-        "(default: in-process scoring)",
     )
     serve_bench.add_argument(
         "--http", action="store_true",
@@ -507,9 +481,6 @@ def _serve_config_from_args(args: argparse.Namespace):
     return ServeConfig(
         max_concurrency=args.concurrency,
         queue_depth=args.queue_depth,
-        shard_workers=args.shard_workers,
-        shard_threshold=args.shard_threshold,
-        score_workers=args.score_workers,
     )
 
 
@@ -518,14 +489,9 @@ def _validate_serve_args(args: argparse.Namespace) -> str | None:
         ("--limit", getattr(args, "limit", 1), 1),
         ("--concurrency", args.concurrency, 1),
         ("--queue-depth", args.queue_depth, 0),
-        ("--shard-threshold", args.shard_threshold, 1),
     ):
         if value < minimum:
             return f"{flag} must be >= {minimum}"
-    if args.shard_workers is not None and args.shard_workers < 1:
-        return "--shard-workers must be >= 1"
-    if args.score_workers is not None and args.score_workers < 2:
-        return "--score-workers must be >= 2"
     return None
 
 

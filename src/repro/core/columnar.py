@@ -545,30 +545,6 @@ class ColumnarSnapshot:
             memo[key] = sims
         return sims
 
-    # -- pickling ------------------------------------------------------------
-    #
-    # Snapshots ship to scoring worker processes (serve/procpool.py), so
-    # the wire format matters: every column is a flat ``array`` (which
-    # pickles as one bytes blob).  ``row_of`` — a dict as large as the
-    # catalog but fully derived from ``ids`` — the numpy views and the
-    # name-similarity memo are excluded and rebuilt on unpickle instead
-    # of being serialized.
-
-    def __getstate__(self) -> dict:
-        state = {slot: getattr(self, slot) for slot in self.__slots__}
-        for derived in ("row_of", "_arrays", "_name_sims"):
-            del state[derived]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        for slot, value in state.items():
-            setattr(self, slot, value)
-        self.row_of = {
-            dataset_id: row for row, dataset_id in enumerate(self.ids)
-        }
-        self._arrays = None
-        self._name_sims = {}
-
 
 class ColumnarScorer:
     """Scores :class:`ColumnarSnapshot` rows: approximately over arrays
@@ -580,9 +556,9 @@ class ColumnarScorer:
     object path divides and prunes with.  The per-(term, interned-name)
     similarity table comes from the snapshot's content-keyed memo
     (:meth:`ColumnarSnapshot.name_similarities`) — the interned name
-    table is small (unique variable names across the catalog) and a
-    read-only table makes the scorer safe to share across scoring-shard
-    threads, unlike the object scorer's lazily-mutated memo dict.
+    table is small (unique variable names across the catalog), so the
+    scorer builds its per-term rows once per query rather than per
+    row.
     """
 
     __slots__ = ("scorer", "view", "_term_sims", "_term_sim_arrays")

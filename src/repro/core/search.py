@@ -17,7 +17,6 @@ from __future__ import annotations
 import hashlib
 import heapq
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -27,7 +26,7 @@ from ..catalog.index import CatalogIndexes
 from ..catalog.records import DatasetFeature
 from ..catalog.store import CatalogStore
 from ..hierarchy import ConceptHierarchy
-from ..obs import current_request, get_telemetry, use_request, use_telemetry
+from ..obs import current_request, get_telemetry
 from .cache import QueryCache
 from .columnar import APPROX_TOLERANCE, ColumnarScorer, ColumnarSnapshot
 from .query import Query
@@ -63,7 +62,7 @@ class SearchResults(list):
     The count is exact on every path: for the boolean engine it counts
     datasets matching every term, and for ranked search the datasets
     scoring above zero (every dataset, for an empty query) — whatever
-    the execution path, shard split or top-k floor.
+    the scoring path or top-k floor.
 
     Slicing and :meth:`copy` preserve the metadata (``total_matches``
     carries over; ``truncated`` is re-derived for the narrower page), so
@@ -167,9 +166,9 @@ def score_rows_into(
     """Score columnar ``rows`` into the top-k heap; returns the exact
     number of rows scoring above zero.
 
-    The single source of truth for the columnar scan: the engine's
-    serial path, every scoring-shard thread *and* every scoring worker
-    process (serve/procpool.py) run this exact function.  Two stages:
+    The single source of truth for the columnar scan: every cache miss
+    over a columnar view runs this exact function, on the request
+    thread.  Two stages:
 
     1. :meth:`ColumnarScorer.approximate_totals` scores every row in
        one array pass, each total within ``tol`` (:data:`APPROX_TOLERANCE`)
@@ -188,7 +187,7 @@ def score_rows_into(
     above ``tol`` (or above zero and bit-exact) scores exactly above
     zero, a bit-exact zero is exactly zero, and every other row at or
     below ``tol`` gets an exact rescore — so the count does not depend
-    on the floor, the shard split or the execution path.
+    on the floor.
 
     Results are pushed with ``feature=None`` — only the page's survivors
     fetch their feature objects (in :meth:`SearchEngine.search`), so
@@ -271,25 +270,11 @@ def hierarchy_digest(hierarchy: ConceptHierarchy | None) -> str | None:
 class SearchEngine:
     """Ranked similarity search over a catalog store.
 
-    Scoring optionally *shards*: when ``shard_workers > 1`` and the
-    catalog has at least ``shard_threshold`` rows,
-    it is partitioned into contiguous chunks scored on a thread pool,
-    each chunk through its own :class:`_TopK` heap, then merged into
-    the global heap.  The merge is exact — every global top-``k``
-    result is by definition in its own shard's top-``k``, so pushing
-    each shard's survivors through the global heap reproduces the
-    serial page (ids, scores, order, breakdowns) precisely.  Below the
-    threshold (or with ``shard_workers`` unset) the serial path runs
-    unchanged.
-
-    Above the thread shards sits an optional *process pool* rung
-    (``procpool`` — see :class:`repro.serve.procpool.ProcessPoolScorer`,
-    duck-typed here so ``core`` never imports the serving layer): when a
-    pool is attached and holds the current snapshot version, columnar
-    scoring fans out across worker processes instead of threads.  The
-    pool answers ``None`` whenever it cannot serve (version not yet
-    shipped, broken pool), and the query falls through to thread shards
-    and then serial — every rung produces the identical page.
+    A cache miss scores on the calling thread: one
+    :func:`score_rows_into` pass over the columnar view, or — with
+    ``columnar=False`` or a view that raced a writer — the object
+    scorer, which the tests keep as the scalar oracle.  Both produce
+    the identical page.
     """
 
     def __init__(
@@ -297,49 +282,24 @@ class SearchEngine:
         catalog: CatalogStore,
         hierarchy: ConceptHierarchy | None = None,
         config: ScoringConfig | None = None,
-        epsilon: float = 1e-3,
         cache: QueryCache | bool = True,
-        shard_workers: int | None = None,
-        shard_threshold: int = 1024,
-        executor: ThreadPoolExecutor | None = None,
         columnar: bool = True,
-        procpool=None,
     ) -> None:
-        if not 0.0 < epsilon < 1.0:
-            raise ValueError("epsilon must lie in (0, 1)")
-        if shard_threshold < 1:
-            raise ValueError("shard_threshold must be positive")
         self.catalog = catalog
         self.hierarchy = hierarchy
         # Attached by build_indexes(); no search reads them.
         self.indexes: CatalogIndexes | None = None
         self.config = config or ScoringConfig()
-        # Validated and part of the cache key for existing callers; no
-        # search reads it.
-        self.epsilon = epsilon
         # True: engine-private cache; False: no caching; or pass a
         # QueryCache instance to share one across engines.
         if cache is True:
             cache = QueryCache()
         self.cache = cache if isinstance(cache, QueryCache) else None
-        self.shard_workers = shard_workers
-        self.shard_threshold = shard_threshold
-        # Pass a shared executor (the serving layer does, so engine
-        # rebuilds on snapshot refresh don't churn threads); otherwise
-        # one is created lazily on the first sharded query and owned by
-        # this engine (release it with close()).
-        self._executor = executor
-        self._owns_executor = False
         # Columnar fast path: score over frozen facet columns instead of
         # feature objects (bit-identical results — see core/columnar.py).
         # Disable to force the object scorer, e.g. for A/B benchmarks.
         self.columnar = columnar
         self._columnar_cache: ColumnarSnapshot | None = None
-        # Optional process-pool scorer (the serving layer attaches one);
-        # duck-typed: wants(version, n_rows) / score(query, limit,
-        # version, rows).  Not owned by the engine — whoever installed
-        # it closes it.
-        self.procpool = procpool
 
     @property
     def hierarchy(self) -> ConceptHierarchy | None:
@@ -351,13 +311,6 @@ class SearchEngine:
         # computed here, once per assignment, not per query.
         self._hierarchy = hierarchy
         self._hierarchy_key = hierarchy_digest(hierarchy)
-
-    def close(self) -> None:
-        """Release the shard executor if this engine created one."""
-        if self._owns_executor and self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-            self._owns_executor = False
 
     def build_indexes(self, cell_degrees: float = 0.5) -> CatalogIndexes:
         """Build (and attach) fresh indexes over the current catalog.
@@ -434,132 +387,6 @@ class SearchEngine:
         self._columnar_cache = view
         return view
 
-    def _score_columnar(
-        self,
-        scorer: QueryScorer,
-        query: Query,
-        top: _TopK,
-        view: ColumnarSnapshot,
-    ) -> int:
-        """Score every row of the columnar view into ``top`` in one
-        :func:`score_rows_into` pass; returns the exact match count.
-
-        Sharding partitions contiguous *row ranges*; the merge argument
-        is in DESIGN note 14, and the read-only :class:`ColumnarScorer`
-        is safely shared by every shard thread.
-        """
-        rows = range(len(view))
-        pool = self.procpool
-        if pool is not None and pool.wants(view.version, len(rows)):
-            pooled = pool.score(query, top.limit, view.version, rows)
-            if pooled is not None:
-                matches, hits = pooled
-                for result in hits:
-                    top.push(result)
-                return matches
-            # Pool could not serve this query (broken workers, racing
-            # refresh): fall through to thread shards — same page.
-        cscorer = ColumnarScorer(scorer, view)
-        workers = self._effective_shard_workers(len(rows))
-        if workers <= 1:
-            return score_rows_into(cscorer, query, rows, top)
-        telemetry = get_telemetry()
-        telemetry.count("search.sharded_queries")
-        # Shard threads carry the submitting request with them: same
-        # registry, same request context, spans re-parented under the
-        # request's open span — one request, one span tree.
-        parent = telemetry.active_path()
-        context = current_request()
-        chunk = (len(rows) + workers - 1) // workers
-        shards = [rows[i : i + chunk] for i in range(0, len(rows), chunk)]
-
-        def run_shard(shard: Sequence[int]) -> tuple[int, _TopK]:
-            with use_telemetry(telemetry), use_request(context):
-                with telemetry.parented(parent):
-                    with telemetry.span("search.shard", rows=len(shard)):
-                        shard_top = _TopK(top.limit)
-                        matched = score_rows_into(
-                            cscorer, query, shard, shard_top
-                        )
-            return matched, shard_top
-
-        matches = 0
-        for matched, shard_top in self._shard_executor().map(
-            run_shard, shards
-        ):
-            matches += matched
-            for item in shard_top._heap:
-                top.push(item.result)
-        return matches
-
-    def _effective_shard_workers(self, n_rows: int) -> int:
-        """How many scoring shards this query should use (1 = serial)."""
-        if self.shard_workers is None or self.shard_workers <= 1:
-            return 1
-        if n_rows < self.shard_threshold:
-            return 1
-        return min(self.shard_workers, n_rows)
-
-    def _shard_executor(self) -> ThreadPoolExecutor:
-        if self._executor is None:
-            self._executor = ThreadPoolExecutor(
-                max_workers=self.shard_workers,
-                thread_name_prefix="repro-shard",
-            )
-            self._owns_executor = True
-        return self._executor
-
-    def _score_objects(
-        self,
-        scorer: QueryScorer,
-        query: Query,
-        ids: Sequence[str],
-        top: _TopK,
-    ) -> int:
-        """Score ``ids`` through the object scorer into ``top``, sharding
-        across threads when there are enough; returns exact matches.
-
-        Each shard scores through a private :class:`QueryScorer` (its
-        name-similarity memo is not shared across threads) and a private
-        heap; merging the shard heaps through the global one is exact
-        because every global top-``k`` result is necessarily in its own
-        shard's top-``k``.  Each shard's match count is exact, so their
-        sum is the serial count.
-        """
-        workers = self._effective_shard_workers(len(ids))
-        if workers <= 1:
-            return self._score_into(scorer, query, ids, top)
-        telemetry = get_telemetry()
-        telemetry.count("search.sharded_queries")
-        parent = telemetry.active_path()
-        context = current_request()
-        chunk = (len(ids) + workers - 1) // workers
-        shards = [ids[i : i + chunk] for i in range(0, len(ids), chunk)]
-
-        def run_shard(shard: Sequence[str]) -> tuple[int, _TopK]:
-            with use_telemetry(telemetry), use_request(context):
-                with telemetry.parented(parent):
-                    with telemetry.span("search.shard", rows=len(shard)):
-                        shard_scorer = QueryScorer(
-                            query,
-                            hierarchy=self.hierarchy,
-                            config=self.config,
-                        )
-                        shard_top = _TopK(top.limit)
-                        matched = self._score_into(
-                            shard_scorer, query, shard, shard_top
-                        )
-            return matched, shard_top
-
-        matches = 0
-        for matched, shard_top in self._shard_executor().map(
-            run_shard, shards
-        ):
-            matches += matched
-            for item in shard_top._heap:
-                top.push(item.result)
-        return matches
-
     def _cache_key(self, query: Query, limit: int):
         # Everything the result depends on, by content.  The hierarchy
         # key is taken when the hierarchy is assigned, so mutating a
@@ -569,7 +396,6 @@ class SearchEngine:
             query,
             limit,
             self.config,
-            self.epsilon,
             self._hierarchy_key,
         )
 
@@ -608,7 +434,6 @@ class SearchEngine:
         if (
             self._hierarchy_key != previous._hierarchy_key
             or self.config != previous.config
-            or self.epsilon != previous.epsilon
         ):
             return 0
         old_version = previous.catalog.version
@@ -625,14 +450,13 @@ class SearchEngine:
         carried = 0
         scorers: dict[Query, QueryScorer] = {}
         for key, value in cache.items():
-            if not isinstance(key, tuple) or len(key) != 6:
+            if not isinstance(key, tuple) or len(key) != 5:
                 continue
-            version, query, limit, config, epsilon, key_hierarchy = key
+            version, query, limit, config, key_hierarchy = key
             if (
                 version != old_version
                 or key_hierarchy != key_of_hierarchy
                 or config != self.config
-                or epsilon != self.epsilon
             ):
                 continue
             if query.is_empty:
@@ -648,7 +472,7 @@ class SearchEngine:
             ):
                 continue
             cache.put(
-                (new_version, query, limit, config, epsilon, key_of_hierarchy),
+                (new_version, query, limit, config, key_of_hierarchy),
                 value,
             )
             carried += 1
@@ -729,9 +553,11 @@ class SearchEngine:
         top = _TopK(limit)
         view = self.columnar_view()
         if view is not None:
-            matches = self._score_columnar(scorer, query, top, view)
+            matches = score_rows_into(
+                ColumnarScorer(scorer, view), query, range(len(view)), top
+            )
         else:
-            matches = self._score_objects(
+            matches = self._score_into(
                 scorer, query, self.catalog.dataset_ids(), top
             )
         results = SearchResults(top.sorted_results(), total_matches=matches)

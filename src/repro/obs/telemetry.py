@@ -204,7 +204,7 @@ class RequestContext:
 
     def tally(self, **counts: int) -> None:
         """Add ``counts`` to integer attributes (missing ones start at
-        0); safe from the scoring-shard threads that share a context."""
+        0); safe from any threads that share a context."""
         with _tally_lock:
             for key, value in counts.items():
                 self.attrs[key] = self.attrs.get(key, 0) + value
@@ -215,9 +215,7 @@ _tally_lock = threading.Lock()
 
 
 #: The active request context is per-thread, exactly like the active
-#: telemetry registry: request threads never share a context, and
-#: fan-out code (scoring shards, pool workers) re-activates the parent
-#: request's context explicitly.
+#: telemetry registry: request threads never share a context.
 _active_request = threading.local()
 
 
@@ -355,29 +353,6 @@ class Span:
         # Exceptions always propagate.
 
 
-class _Parented:
-    """Pushes a borrowed parent path onto this thread's span stack."""
-
-    __slots__ = ("_telemetry", "_path", "_pushed")
-
-    def __init__(self, telemetry: "Telemetry", path: str | None):
-        self._telemetry = telemetry
-        self._path = path
-        self._pushed = False
-
-    def __enter__(self) -> "_Parented":
-        if self._path is not None and self._telemetry.enabled:
-            self._telemetry._span_stack().append(self._path)
-            self._pushed = True
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        if self._pushed:
-            stack = self._telemetry._span_stack()
-            if stack and stack[-1] == self._path:
-                stack.pop()
-
-
 class Telemetry:
     """The registry one run's instrumentation writes into.
 
@@ -415,18 +390,6 @@ class Telemetry:
         """The path of the innermost open span on this thread, if any."""
         stack = self._span_stack()
         return stack[-1] if stack else None
-
-    def parented(self, path: str | None) -> "_Parented":
-        """Adopt ``path`` as this thread's span parent for a block.
-
-        Fan-out code (scoring shard threads) captures the submitting
-        thread's :meth:`active_path` and re-establishes it inside the
-        worker, so spans opened there nest under the request span
-        instead of starting a disconnected root tree.  ``None`` is a
-        no-op, which lets callers pass ``active_path()`` through
-        unconditionally.
-        """
-        return _Parented(self, path)
 
     def _record_span(self, record: SpanRecord) -> None:
         with self._lock:

@@ -2,7 +2,6 @@
 
 from .http import SearchHTTPServer, search_payload
 from .loadgen import LoadReport, percentile, run_load, run_load_http
-from .procpool import ProcessPoolScorer
 from .service import (
     SearchService,
     ServeConfig,
@@ -12,7 +11,6 @@ from .service import (
 
 __all__ = [
     "LoadReport",
-    "ProcessPoolScorer",
     "SearchHTTPServer",
     "SearchService",
     "ServeConfig",

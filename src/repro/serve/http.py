@@ -28,9 +28,8 @@ telemetry as ``http.internal_errors``).
 Observability (DESIGN note 17): every request gets a deterministic
 :class:`~repro.obs.RequestContext` (``req-NNNNNN`` from a per-server
 counter) and runs inside ``use_telemetry(service.telemetry)`` under an
-``http.request`` span, so the HTTP span, the service span, the engine's
-query span, shard-thread spans and process-pool worker spans all
-land in one tree stamped with one request id.  The **telemetry handle
+``http.request`` span, so the HTTP span, the service span and the
+engine's query span all land in one tree stamped with one request id.  The **telemetry handle
 is snapshotted once per request** (``self._telemetry``) and every
 counter/histogram touch goes through it at the single response exit
 points (:meth:`_send_json` / :meth:`_send_text`) — so a concurrent

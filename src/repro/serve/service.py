@@ -28,7 +28,6 @@ from __future__ import annotations
 import threading
 import time
 from collections import Counter, deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from ..catalog.store import CatalogStore
@@ -39,7 +38,6 @@ from ..core.scoring import ScoringConfig
 from ..core.search import SearchEngine, SearchResults
 from ..hierarchy import ConceptHierarchy
 from ..obs import Telemetry, current_request, use_telemetry
-from .procpool import ProcessPoolScorer
 
 
 class ServiceClosedError(RuntimeError):
@@ -51,24 +49,13 @@ class ServeConfig:
     """Concurrency knobs for :class:`SearchService`.
 
     ``max_concurrency`` requests run at once, ``queue_depth`` more may
-    wait; anything beyond is rejected with ``OverloadedError``.
-    ``shard_workers``/``shard_threshold`` pass through to the engine's
-    sharded scoring (see :class:`~repro.core.search.SearchEngine`).
+    wait; anything beyond is rejected with ``OverloadedError``.  Each
+    admitted request scores on its own thread.
     """
 
     max_concurrency: int = 4
     queue_depth: int = 16
-    shard_workers: int | None = None
-    shard_threshold: int = 1024
     cache_size: int = 512
-    #: Scoring worker *processes* (``None``/unset: in-process scoring).
-    #: When >= 2 the service owns a
-    #: :class:`~repro.serve.procpool.ProcessPoolScorer` and ships every
-    #: snapshot version to it — see DESIGN note 16.
-    score_workers: int | None = None
-    #: Candidate-row floor below which a query skips the process pool
-    #: (IPC would dominate) and scores on threads/serial instead.
-    score_min_rows: int = 256
     #: How many of the hottest recent queries a refresh pre-executes
     #: against the new engine *before* the atomic swap (0 disables) —
     #: the first post-swap requests for those queries hit a warm cache
@@ -84,14 +71,8 @@ class ServeConfig:
             raise ValueError("max_concurrency must be positive")
         if self.queue_depth < 0:
             raise ValueError("queue_depth must be non-negative")
-        if self.shard_threshold < 1:
-            raise ValueError("shard_threshold must be positive")
         if self.cache_size < 1:
             raise ValueError("cache_size must be positive")
-        if self.score_workers is not None and self.score_workers < 2:
-            raise ValueError("score_workers must be >= 2 (or None)")
-        if self.score_min_rows < 1:
-            raise ValueError("score_min_rows must be positive")
         if self.warm_queries < 0:
             raise ValueError("warm_queries must be non-negative")
         if self.migrate_max_delta < 0:
@@ -144,23 +125,6 @@ class SearchService:
         self.cache = cache if cache is not None else QueryCache(
             maxsize=self.config.cache_size
         )
-        # One shard executor for the service's lifetime: engines are
-        # rebuilt per refresh, threads are not.
-        self._shard_executor: ThreadPoolExecutor | None = None
-        if self.config.shard_workers and self.config.shard_workers > 1:
-            self._shard_executor = ThreadPoolExecutor(
-                max_workers=self.config.shard_workers,
-                thread_name_prefix="repro-shard",
-            )
-        # Likewise one process pool for the service's lifetime; every
-        # snapshot version is shipped to it in _build_engine, *before*
-        # the engine swap, so a request never races an unshipped version.
-        self._procpool: ProcessPoolScorer | None = None
-        if self.config.score_workers and self.config.score_workers > 1:
-            self._procpool = ProcessPoolScorer(
-                workers=self.config.score_workers,
-                min_rows=self.config.score_min_rows,
-            )
         # Admission control: ``_admission`` bounds executing + queued
         # (non-blocking — its failure IS the overload signal);
         # ``_slots`` serializes execution (blocking — waiting on it is
@@ -202,8 +166,6 @@ class SearchService:
         * **columnar** — the copy-on-write snapshot refreezes
           incrementally from the previous view (splicing unchanged
           rows; see ``ColumnarSnapshot.freeze_from``),
-        * **process pool** — only the delta crosses the pickle
-          boundary (full-payload fallback inside ``install``),
         * **cache** — still-valid query-cache entries are re-keyed to
           the new version (``SearchEngine.migrate_cache_from``), and
         * **warming** — the hottest recent queries are pre-executed on
@@ -237,35 +199,12 @@ class SearchService:
                     hierarchy=self.hierarchy,
                     config=self.scoring,
                     cache=self.cache,
-                    shard_workers=self.config.shard_workers,
-                    shard_threshold=self.config.shard_threshold,
-                    executor=self._shard_executor,
-                    procpool=self._procpool,
                 )
                 # Warm the columnar freeze off the request path: the
                 # first admitted query scans flat columns instead of
                 # paying the one-time freeze under its own latency
                 # budget.
-                view = engine.columnar_view()
-                if self._procpool is not None and view is not None:
-                    # Ship the new version to the scoring workers before
-                    # the engine swap makes it visible to requests; the
-                    # pool retains the previous version too, so requests
-                    # already in flight keep pool-scoring their own
-                    # snapshot (staleness <= 1 by construction).
-                    pool_delta = None
-                    if used_delta:
-                        pool_delta = (
-                            previous.catalog.version,
-                            list(snapshot.shared_features(delta.upserted)),
-                            list(delta.removed),
-                        )
-                    self._procpool.install(
-                        view,
-                        hierarchy=self.hierarchy,
-                        config=self.scoring,
-                        delta=pool_delta,
-                    )
+                engine.columnar_view()
                 carried = 0
                 if (
                     used_delta
@@ -430,14 +369,8 @@ class SearchService:
                 finally:
                     with self._idle:
                         self._in_flight -= 1
-                        last = self._closed and self._in_flight == 0
                         if self._in_flight == 0:
                             self._idle.notify_all()
-                    if last:
-                        # A close() whose drain timed out left the
-                        # executors alive for us; the last request out
-                        # releases them.
-                        self._release_executors()
                 return response
             finally:
                 self._slots.release()
@@ -486,39 +419,17 @@ class SearchService:
             )
 
     def close(self, timeout: float | None = None) -> bool:
-        """Stop admitting, drain in-flight requests, release resources.
+        """Stop admitting and drain in-flight requests.
 
         Graceful: requests already executing run to completion; new
         calls raise :class:`ServiceClosedError`.  Returns True when the
-        drain finished inside ``timeout`` (None = wait forever).
-
-        Executors are released only once the service is actually idle:
-        if the drain times out, the still-executing requests keep their
-        shard threads and scoring processes (shutting them down under a
-        live request would turn a graceful 503 into a RuntimeError
-        mid-query), and the last request out releases them instead.
+        drain finished inside ``timeout`` (None = wait forever); a
+        request still executing after a timed-out close finishes
+        normally.
         """
         with self._state_lock:
             self._closed = True
-        drained = self.drain(timeout=timeout)
-        if drained:
-            self._release_executors()
-        return drained
-
-    def _release_executors(self) -> None:
-        """Shut down the shard threads and the scoring process pool.
-
-        Idempotent and race-safe: ownership of each executor is claimed
-        under the state lock, so a timed-out ``close()`` and the last
-        in-flight request cannot both shut the same executor down.
-        """
-        with self._state_lock:
-            executor, self._shard_executor = self._shard_executor, None
-            procpool, self._procpool = self._procpool, None
-        if executor is not None:
-            executor.shutdown(wait=True)
-        if procpool is not None:
-            procpool.close()
+        return self.drain(timeout=timeout)
 
     def __enter__(self) -> "SearchService":
         return self
@@ -539,7 +450,6 @@ class SearchService:
             in_flight = self._in_flight
             admitted = self._admitted
         snapshot_version = self._engine.catalog.version
-        procpool = self._procpool
         return {
             "snapshot_version": snapshot_version,
             "source_version": self.source.version,
@@ -548,9 +458,6 @@ class SearchService:
             "requests_admitted": admitted,
             "max_concurrency": self.config.max_concurrency,
             "queue_depth": self.config.queue_depth,
-            "shard_workers": self.config.shard_workers,
-            "score_workers": self.config.score_workers,
-            "procpool": procpool.stats() if procpool is not None else None,
             "closed": self._closed,
             "cache": self.cache.stats(),
         }

@@ -170,15 +170,6 @@ def render_telemetry_report(snapshot: dict) -> str:
                 f"  transients: {absorbed} absorbed "
                 f"({injected} injected, {organic} organic)"
             )
-        pooled = counters.get("procpool.queries", 0)
-        pool_degraded = counters.get("procpool.degraded", 0)
-        pool_stale = counters.get("procpool.stale_miss", 0)
-        if pooled or pool_degraded or pool_stale:
-            lines.append(
-                f"  procpool: {pooled} pooled queries "
-                f"({pool_degraded} degraded to threads, "
-                f"{pool_stale} stale misses)"
-            )
         parts.append("\n".join(lines))
 
     gauges = snapshot.get("gauges", {})
@@ -315,17 +306,7 @@ def render_serve_report(report, stats: dict | None = None) -> str:
             f"(source v{stats['source_version']}, "
             f"staleness {stats['staleness']})",
             f"  concurrency {stats['max_concurrency']} "
-            f"+ queue {stats['queue_depth']}"
-            + (
-                f", shard workers {stats['shard_workers']}"
-                if stats.get("shard_workers")
-                else ""
-            )
-            + (
-                f", score workers {stats['score_workers']}"
-                if stats.get("score_workers")
-                else ""
-            ),
+            f"+ queue {stats['queue_depth']}",
             f"  cache: {cache.get('hits', 0)} hits / "
             f"{cache.get('misses', 0)} misses "
             f"(hit rate {cache.get('hit_rate', 0.0):.2f})",

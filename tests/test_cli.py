@@ -315,13 +315,11 @@ class TestServeBench:
         assert "rejected" in out
         assert "p99" in out
 
-    def test_explicit_queries_and_sharding(self, catalog_path, capsys):
+    def test_explicit_queries(self, catalog_path, capsys):
         assert main(["serve-bench", catalog_path,
                      "--query", "with salinity",
                      "--query", "within 100 km of 45.0, -124.0",
-                     "--clients", "2", "--requests", "4",
-                     "--shard-workers", "2",
-                     "--shard-threshold", "1"]) == 0
+                     "--clients", "2", "--requests", "4"]) == 0
         out = capsys.readouterr().out
         assert "completed" in out
 
@@ -333,8 +331,6 @@ class TestServeBench:
             ["--limit", "0"],
             ["--concurrency", "0"],
             ["--queue-depth", "-1"],
-            ["--shard-workers", "0"],
-            ["--shard-threshold", "0"],
             ["--think-ms", "-1"],
             ["--zipf", "-0.5"],
         ],

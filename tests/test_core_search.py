@@ -114,10 +114,6 @@ class TestIndexedSearch:
         ids = {r.dataset_id for r in engine.search(paper_query(), limit=10)}
         assert "new_ds" in ids
 
-    def test_epsilon_validation(self, catalog):
-        with pytest.raises(ValueError):
-            SearchEngine(catalog, epsilon=0.0)
-
     def test_spatial_only_query_uses_index(self, catalog):
         engine = SearchEngine(catalog)
         engine.build_indexes()

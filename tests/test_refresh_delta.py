@@ -33,7 +33,7 @@ from repro.core.search import SearchEngine
 from repro.geo import BoundingBox, GeoPoint, TimeInterval
 from repro.hierarchy.tree import ConceptHierarchy
 from repro.obs import Telemetry, use_telemetry
-from repro.serve import ProcessPoolScorer, SearchService, ServeConfig
+from repro.serve import SearchService, ServeConfig
 from repro.wrangling.state import PublishDelta
 
 VARIABLE_POOL = [
@@ -596,52 +596,3 @@ def test_refresh_warms_hottest_queries():
         assert page(warmed.results) == page(cold.search(query, limit=5))
     finally:
         service.close()
-
-
-# -- the process-pool delta handoff ----------------------------------------
-
-
-def test_procpool_delta_install_scores_exactly():
-    store = MemoryCatalog()
-    store.apply_batch(
-        [_feature(f"ds_{i:04d}", temp=float(i + 1)) for i in range(12)],
-        (),
-    )
-    pool = ProcessPoolScorer(workers=2, min_rows=1)
-    try:
-        engine_v1 = SearchEngine(store, cache=False, procpool=pool)
-        pool.install(engine_v1.columnar_view())
-        base_version = store.version
-        store.apply_batch(
-            [_feature("ds_0003", temp=77.0)], ["ds_0009"]
-        )
-        snapshot = store.snapshot()
-        view = snapshot.columnar()
-        pool.install(
-            view,
-            delta=(
-                base_version,
-                [snapshot.get("ds_0003")],
-                ["ds_0009"],
-            ),
-        )
-        assert pool.stats()["delta_installs"] == 1
-        pooled = SearchEngine(snapshot, cache=False, procpool=pool)
-        serial = SearchEngine(snapshot, cache=False)
-        query = Query(variables=(VariableTerm(name="salinity"),))
-        expected = serial.search(query, limit=8)
-        telemetry = Telemetry()
-        with use_telemetry(telemetry):
-            actual = pooled.search(query, limit=8)
-        # The delta-installed payload really served the query …
-        counters = telemetry.snapshot()["counters"]
-        assert counters.get("procpool.queries") == 1
-        assert "procpool.degraded" not in counters
-        # … and the workers' freeze_from rebuild scored the exact page
-        # (totals are not compared: the pool rung reports full match
-        # counts where the in-process rung may stop at the limit, a
-        # pre-existing difference the procpool suite documents).
-        assert page(actual) == page(expected)
-    finally:
-        pool.close()
-        close_store(store)

@@ -6,9 +6,8 @@ similarity — is the *same function* the object path delegates to, the
 term weights and prune floor come from the same :class:`QueryScorer`
 instance, and rows are laid out in sorted-dataset-id order (the order
 ``dataset_ids()`` yields).  Hypothesis searches for counterexamples
-across random catalogs, query shapes, limits and shard counts; equality
-is checked on ids, scores, order AND the full per-term breakdowns —
-the way ``test_search_sharded.py`` pins sharded == serial.
+across random catalogs, query shapes and limits; equality is checked
+on ids, scores, order AND the full per-term breakdowns.
 """
 
 from __future__ import annotations
@@ -177,31 +176,6 @@ def test_columnar_with_indexes_equals_object(catalog, query, limit):
     assert actual.total_matches == expected.total_matches == exact_matches(
         objects, query
     )
-
-
-@given(
-    catalog=catalogs(),
-    query=queries(),
-    limit=st.integers(min_value=1, max_value=15),
-    workers=st.integers(min_value=2, max_value=6),
-)
-@settings(max_examples=20, deadline=None)
-def test_columnar_sharded_equals_object_serial(
-    catalog, query, limit, workers
-):
-    # Both optimizations at once: columnar row-range shards vs the
-    # serial object path.
-    serial = SearchEngine(catalog, cache=False, columnar=False)
-    sharded = SearchEngine(
-        catalog, cache=False, columnar=True,
-        shard_workers=workers, shard_threshold=1,
-    )
-    try:
-        expected = serial.search(query, limit=limit)
-        actual = sharded.search(query, limit=limit)
-        assert page(actual) == page(expected)
-    finally:
-        sharded.close()
 
 
 @given(catalog=catalogs(), query=queries())

@@ -12,7 +12,7 @@ kernels.  The properties pinned here:
   the k-th score included;
 * pages and breakdowns are bit-identical to the object path, and
   ``total_matches`` is the exact count of rows scoring above zero on
-  the serial, thread-shard, process-pool and object paths alike;
+  the columnar and object paths alike;
 * the columns numpy reads are zero-copy, read-only views with pinned
   dtypes and lengths.
 
@@ -25,10 +25,8 @@ catalog.
 from __future__ import annotations
 
 import math
-import pickle
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -44,7 +42,6 @@ from repro.core.query import Query, VariableTerm
 from repro.core.scoring import DECAY_SHAPES, QueryScorer, ScoringConfig
 from repro.core.search import SearchEngine, _TopK, score_rows_into
 from repro.geo import BoundingBox, GeoPoint, TimeInterval
-from repro.serve import ProcessPoolScorer
 
 VARIABLE_POOL = ["water_temperature", "salinity", "chlorophyll", "wind"]
 
@@ -326,50 +323,17 @@ def test_pages_and_match_counts_agree_on_every_path(
             catalog, config=config, cache=False, columnar=False
         ),
         "serial": SearchEngine(catalog, config=config, cache=False),
-        "shards": SearchEngine(
-            catalog, config=config, cache=False,
-            shard_workers=3, shard_threshold=1,
-        ),
     }
-    try:
-        if indexed:
-            for engine in engines.values():
-                engine.build_indexes()
-        expected = exact_matches(exact_totals(catalog, query, config), query)
-        oracle = engines["object"].search(query, limit=limit)
-        assert oracle.total_matches == expected
-        for name, engine in engines.items():
-            results = engine.search(query, limit=limit)
-            assert page(results) == page(oracle), name
-            assert results.total_matches == expected, name
-    finally:
-        engines["shards"].close()
-
-
-@pytest.fixture(scope="module")
-def pool():
-    scorer = ProcessPoolScorer(workers=2, min_rows=1)
-    yield scorer
-    scorer.close()
-
-
-@given(
-    catalog=catalogs(min_size=1),
-    query=queries(),
-    config=configs(),
-    limit=st.integers(min_value=1, max_value=12),
-)
-@settings(max_examples=25, deadline=None)
-def test_process_pool_agrees(pool, catalog, query, config, limit):
-    engine = SearchEngine(catalog, config=config, cache=False, procpool=pool)
-    pool.install(engine.columnar_view(), config=config)
-    oracle = SearchEngine(catalog, config=config, cache=False, columnar=False)
-    expected = oracle.search(query, limit=limit)
-    results = engine.search(query, limit=limit)
-    assert page(results) == page(expected)
-    assert results.total_matches == expected.total_matches == exact_matches(
-        exact_totals(catalog, query, config), query
-    )
+    if indexed:
+        for engine in engines.values():
+            engine.build_indexes()
+    expected = exact_matches(exact_totals(catalog, query, config), query)
+    oracle = engines["object"].search(query, limit=limit)
+    assert oracle.total_matches == expected
+    for name, engine in engines.items():
+        results = engine.search(query, limit=limit)
+        assert page(results) == page(oracle), name
+        assert results.total_matches == expected, name
 
 
 def _feature(index: int, entries) -> DatasetFeature:
@@ -403,11 +367,11 @@ def test_empty_segments_score_zero_wherever_they_sit():
     approx, exact = cscorer.approximate_totals(range(len(view)))
     assert approx.tolist() == [0.0, 1.0, 0.0, 1.0, 0.0]
     assert exact.all()
-    # Contiguous shards that start or end on an empty row.
+    # Contiguous row ranges that start or end on an empty row.
     for start in range(len(view)):
         for stop in range(start, len(view) + 1):
-            shard, __ = cscorer.approximate_totals(range(start, stop))
-            assert shard.tolist() == approx[start:stop].tolist()
+            part, __ = cscorer.approximate_totals(range(start, stop))
+            assert part.tolist() == approx[start:stop].tolist()
 
 
 def test_empty_catalog_scans_nothing():
@@ -450,25 +414,6 @@ def test_column_arrays_are_pinned_zero_copy_views():
         # Zero-copy: the view reads the array column's own buffer.
         assert column.ctypes.data == getattr(view, name).buffer_info()[0]
         assert column.tolist() == list(getattr(view, name))
-
-
-def test_pickled_view_rebuilds_derived_state():
-    entry = VariableEntry.from_written("salinity", "u", 10, 0.0, 30.0, 1.0, 1.0)
-    view = ColumnarSnapshot([_feature(i, [entry]) for i in range(4)], version=2)
-    query = Query(
-        location=GeoPoint(46.0, -124.0), variables=(VariableTerm("salt"),)
-    )
-    before, __ = ColumnarScorer(QueryScorer(query), view).approximate_totals(
-        range(4)
-    )
-    state = view.__getstate__()
-    assert not {"row_of", "_arrays", "_name_sims"} & set(state)
-    clone = pickle.loads(pickle.dumps(view))
-    assert clone._arrays is None and clone._name_sims == {}
-    after, __ = ColumnarScorer(QueryScorer(query), clone).approximate_totals(
-        range(4)
-    )
-    assert np.array_equal(before, after)
 
 
 # -- the name-similarity memo ----------------------------------------------------

@@ -19,6 +19,7 @@ import pytest
 
 from repro.catalog import MemoryCatalog
 from repro.catalog.records import DatasetFeature, VariableEntry
+from repro.core import search as core_search
 from repro.core.cache import QueryCache
 from repro.core.errors import OverloadedError
 from repro.core.query import Query, VariableTerm
@@ -65,8 +66,6 @@ class TestServeConfig:
             ServeConfig(max_concurrency=0)
         with pytest.raises(ValueError):
             ServeConfig(queue_depth=-1)
-        with pytest.raises(ValueError):
-            ServeConfig(shard_threshold=0)
         with pytest.raises(ValueError):
             ServeConfig(cache_size=0)
 
@@ -277,33 +276,24 @@ class TestDrain:
         assert len(done["response"].results) == 6
         assert service.stats()["in_flight"] == 0
 
-    def test_timed_out_close_keeps_executors_for_in_flight_requests(
-        self, catalog
+    def test_timed_out_close_lets_the_held_request_finish(
+        self, catalog, monkeypatch
     ):
-        """Regression: a ``close()`` whose drain timed out used to shut
-        the shard executor down under the still-executing request, which
-        then died with ``cannot schedule new futures after shutdown``
-        (a traceback/500 instead of a graceful completion).  Executors
-        must stay alive until the last in-flight request leaves, and
-        that request releases them.
-        """
-        service = SearchService(
-            catalog,
-            config=ServeConfig(shard_workers=2, shard_threshold=1),
-        )
+        """A ``close()`` whose drain times out stops admission at once,
+        but the request already scoring on its own thread still
+        completes with its page — a graceful completion, never an
+        error mid-query."""
+        service = SearchService(catalog)
         started = threading.Event()
         release = threading.Event()
-        engine = service._engine
-        original_search = engine.search
+        real_score = core_search.score_rows_into
 
-        def gated_search(query, limit=10):
+        def held_score(cscorer, query, rows, top):
             started.set()
             release.wait(timeout=10.0)
-            # The regression surfaced here: this call fans out onto the
-            # service-owned shard executor.
-            return original_search(query, limit=limit)
+            return real_score(cscorer, query, rows, top)
 
-        engine.search = gated_search
+        monkeypatch.setattr(core_search, "score_rows_into", held_score)
         outcome = {}
 
         def request() -> None:
@@ -316,13 +306,12 @@ class TestDrain:
         worker.start()
         assert started.wait(timeout=5.0)
         assert service.close(timeout=0.05) is False  # drain timed out
-        assert service._shard_executor is not None  # NOT torn down yet
+        with pytest.raises(ServiceClosedError):
+            service.search(QUERY)
         release.set()
         worker.join(timeout=10.0)
         assert "error" not in outcome, repr(outcome.get("error"))
         assert len(outcome["response"].results) == 6
-        # The last request out released the executors.
-        assert service._shard_executor is None
         assert service.stats()["in_flight"] == 0
 
 

@@ -1,12 +1,10 @@
 """Request-scoped tracing: one request, one span tree, one request id.
 
-The PR-9 acceptance contract: a single ``/search`` served over real
-sockets through process-pool scoring must leave behind **one coherent
-span tree** in the shared telemetry — the HTTP span at the root, the
-service span, the engine's query span, and the pool workers'
-``procpool.chunk`` spans re-parented under it across the pickle
-boundary — and every span in that tree must carry the same
-deterministic ``request_id`` stamp.
+The contract: a single ``/search`` served over real sockets must leave
+behind **one coherent span tree** in the shared telemetry — the HTTP
+span at the root, then the service span, then the engine's query span
+— and every span in that tree must carry the same deterministic
+``request_id`` stamp.
 
 Also pinned here: the request-context scratchpad (``cache_hit``,
 ``rows_approximated``/``rows_rescored``, ``results``,
@@ -27,10 +25,9 @@ import pytest
 from repro.catalog import MemoryCatalog
 from repro.catalog.records import DatasetFeature, VariableEntry
 from repro.core.qparser import parse_query
-from repro.core.search import SearchEngine
 from repro.geo import BoundingBox, TimeInterval
 from repro.obs import RequestContext, Telemetry, use_request, use_telemetry
-from repro.serve import SearchHTTPServer, SearchService, ServeConfig
+from repro.serve import SearchHTTPServer, SearchService
 
 
 def make_feature(dataset_id: str, row_count: int = 10) -> DatasetFeature:
@@ -89,17 +86,9 @@ def root_spans(telemetry, count: int):
 
 
 class TestOneRequestOneTree:
-    def test_search_through_procpool_is_one_stamped_span_tree(self, catalog):
-        """The acceptance test: HTTP -> service -> engine -> pool workers.
-
-        ``score_min_rows=1`` forces every candidate set through the
-        process pool, so the tree must include worker spans that crossed
-        a pickle boundary and were re-parented on the request thread.
-        """
-        service = SearchService(
-            catalog,
-            config=ServeConfig(score_workers=2, score_min_rows=1),
-        )
+    def test_search_is_one_stamped_span_tree(self, catalog):
+        """The acceptance test: HTTP -> service -> engine, one tree."""
+        service = SearchService(catalog)
         server = SearchHTTPServer(service, port=0).start()
         try:
             status, payload = get(server, "/search?q=with+salinity")
@@ -113,28 +102,20 @@ class TestOneRequestOneTree:
             s for s in spans
             if s.attrs.get("request_id") == "req-000001"
         ]
-        names = {s.name for s in stamped}
-        assert {
-            "http.request",
-            "serve.request",
-            "search.query",
-            "procpool.chunk",
-        } <= names, names
+        paths = {s.name: s.path for s in stamped}
+        assert {"http.request", "serve.request", "search.query"} <= set(
+            paths
+        ), paths
 
-        # One tree: every stamped span hangs off the one HTTP root.
+        # One tree: every stamped span hangs off the one HTTP root, and
+        # the engine's scan nests inside the service span.
         roots = [s for s in stamped if s.path == "http.request"]
         assert len(roots) == 1
         for span in stamped:
             assert span.path == "http.request" or span.path.startswith(
                 "http.request/"
             ), span.path
-        # The worker spans crossed the pickle boundary and still nest
-        # under the request (merge_worker re-parents on the request
-        # thread, inside the open serve.request span).
-        chunk_paths = [s.path for s in stamped if s.name == "procpool.chunk"]
-        assert chunk_paths
-        for path in chunk_paths:
-            assert "serve.request" in path, path
+        assert "serve.request/" in paths["search.query"], paths
 
         # No stray ids: this was the only request, so nothing else is
         # stamped with anything but req-000001.
@@ -145,38 +126,13 @@ class TestOneRequestOneTree:
         }
         assert ids == {"req-000001"}
 
-    def test_sharded_thread_scoring_joins_the_tree_too(self, catalog):
-        """Thread shards (no pool) nest via Telemetry.parented."""
-        service = SearchService(
-            catalog,
-            config=ServeConfig(shard_workers=2, shard_threshold=1),
-        )
-        server = SearchHTTPServer(service, port=0).start()
-        try:
-            status, payload = get(server, "/search?q=with+salinity")
-            assert status == 200
-        finally:
-            server.close(timeout=10.0)
-        stamped = [
-            s for s in root_spans(service.telemetry, 1)
-            if s.attrs.get("request_id") == "req-000001"
-        ]
-        shard_spans = [s for s in stamped if s.name == "search.shard"]
-        assert shard_spans, {s.name for s in stamped}
-        for span in shard_spans:
-            assert span.path.startswith("http.request/"), span.path
-
-    def test_sharded_scan_tallies_every_row_once(self, catalog):
-        """Shard threads add their rows to the one request context."""
-        engine = SearchEngine(
-            catalog, cache=False, shard_workers=3, shard_threshold=1
-        )
-        context = RequestContext("req-shards")
-        try:
+    def test_service_miss_tallies_every_row_once(self, catalog):
+        """A cache miss adds every scanned row to the request context."""
+        context = RequestContext("req-miss")
+        with SearchService(catalog) as service:
             with use_request(context):
-                engine.search(parse_query("with salinity"), limit=3)
-        finally:
-            engine.close()
+                service.search(parse_query("with salinity"), limit=3)
+        assert context.attrs["cache_hit"] is False
         assert context.attrs["rows_approximated"] == len(catalog)
         assert 1 <= context.attrs["rows_rescored"] <= len(catalog)
 
@@ -280,17 +236,3 @@ class TestRequestContextUnit:
         assert not any(thread.is_alive() for thread in threads)
         assert context.attrs == {"rows": 16000, "pairs": 32000}
 
-    def test_parented_nests_a_borrowed_path(self):
-        telemetry = Telemetry()
-        with use_telemetry(telemetry):
-            with telemetry.span("root"):
-                parent = telemetry.active_path()
-            with telemetry.parented(parent):
-                with telemetry.span("child"):
-                    pass
-            with telemetry.parented(None):  # no-op passthrough
-                with telemetry.span("loose"):
-                    pass
-        paths = {s.name: s.path for s in telemetry.spans()}
-        assert paths["child"] == "root/child"
-        assert paths["loose"] == "loose"
