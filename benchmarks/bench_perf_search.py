@@ -8,15 +8,15 @@ latency along the axes the fast path optimizes:
   expansion, no memoization, no pruning, no heap, no cache),
 * **cold**  — the fast path (one columnar pass over the frozen facet
   columns) with an empty query cache,
-* **object-cold** — the same fast path with the columnar scan disabled
-  (per-feature object traversal); cold / object-cold isolates the
-  columnar win,
+* **object-cold** — the test oracle of ``tests/search_oracle.py``: the
+  object scorer's bounded top-k over every feature object, which no
+  runtime path runs; cold / object-cold isolates the columnar win,
 * **warm**  — the same query repeated (version-keyed cache hit),
 * **post-edit** — one dataset mutated, the query re-issued (cache
-  miss + one columnar re-freeze).
+  miss + one catalog snapshot and its columnar freeze).
 
-The pruned-exactness contract is asserted inside the run: fast-path
-results — columnar AND object — must be identical (ids, scores, order)
+The pruned-exactness contract is asserted inside the run: the engine's
+results and the object oracle's must be identical (ids, scores, order)
 to the naive scan for every benchmark query, with ``total_matches``
 equal to the naive count of datasets scoring above zero; a mismatch
 exits non-zero, which is what CI's ``--quick`` smoke invocation gates
@@ -45,12 +45,15 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 if str(REPO_ROOT / "src") not in sys.path:  # allow running without PYTHONPATH
     sys.path.insert(0, str(REPO_ROOT / "src"))
+if str(REPO_ROOT) not in sys.path:  # the object oracle lives in tests/
+    sys.path.insert(0, str(REPO_ROOT))
 
 from repro.catalog import DatasetFeature, MemoryCatalog, VariableEntry
 from repro.core import Query, SearchEngine, VariableTerm, score_feature
 from repro.geo import BoundingBox, GeoPoint, TimeInterval
 from repro.hierarchy import vocabulary_hierarchy
 from repro.obs import Telemetry, use_telemetry
+from tests.search_oracle import object_search
 
 SECONDS_PER_DAY = 86_400.0
 EPOCH_2008 = 1_199_145_600.0  # 2008-01-01T00:00:00Z
@@ -176,8 +179,12 @@ def run(n_datasets: int, n_queries: int, repeats: int, limit: int) -> dict:
     queries = synthetic_queries(n_queries, seed=31)
 
     engine = SearchEngine(catalog, hierarchy=hierarchy)
-    object_engine = SearchEngine(catalog, hierarchy=hierarchy, columnar=False)
     config = engine.config
+
+    def oracle_search(query):
+        return object_search(
+            catalog, query, limit=limit, hierarchy=hierarchy, config=config
+        )
 
     # -- exactness gate ----------------------------------------------------
     print("checking pruned-exactness against the naive scan ...")
@@ -186,7 +193,7 @@ def run(n_datasets: int, n_queries: int, repeats: int, limit: int) -> dict:
     for query in queries:
         with use_telemetry(gate_telemetry):
             fast_results = engine.search(query, limit=limit)
-        object_results = object_engine.search(query, limit=limit)
+        object_results = oracle_search(query)
         fast = [(r.score, r.dataset_id) for r in fast_results]
         via_objects = [(r.score, r.dataset_id) for r in object_results]
         naive, naive_matches = naive_search(
@@ -228,9 +235,8 @@ def run(n_datasets: int, n_queries: int, repeats: int, limit: int) -> dict:
             engine.search(query, limit=limit)
 
     def bench_object_cold():
-        object_engine.cache.clear()
         for query in queries:
-            object_engine.search(query, limit=limit)
+            oracle_search(query)
 
     def bench_warm():
         for query in queries:

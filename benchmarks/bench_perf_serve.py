@@ -442,22 +442,27 @@ def http_churn_phase(catalog, texts, hierarchy, clients,
 
 def observability_overhead_phase(catalog, texts, hierarchy, clients,
                                  requests_per_client, think_seconds,
-                                 limit, seed, repeats=3):
+                                 limit, seed, repeats=7):
     """Tracing+metrics on vs off over sockets: what the layer costs.
 
     Mirrors the ingest benchmark's ``measure_telemetry_overhead``:
-    interleaved off/on runs (so drift hits both equally), medians
-    compared.  The "on" side is the full observability stack a real
-    deployment runs — enabled telemetry (request spans, id stamping,
-    counters, histograms), SLO windows, flight recorder — plus one
-    ``/metrics`` exposition scrape per run.
+    ``repeats`` interleaved off/on pairs (so drift hits both equally),
+    each run after a ``gc.collect()`` so no run pays for the garbage
+    of the one before, and medians compared.  Three pairs were too
+    few: two full runs of one tree read 5.3% and 3.2%.  The "on" side
+    is the full observability stack a real deployment runs — enabled
+    telemetry (request spans, id stamping, counters, histograms), SLO
+    windows, flight recorder — plus one ``/metrics`` exposition scrape
+    per run.
     """
+    import gc
     import statistics
     import urllib.request
 
     from repro.obs import Telemetry
 
     def one_run(enabled: bool) -> float:
+        gc.collect()
         config = ServeConfig(
             max_concurrency=max(8, clients), queue_depth=4 * clients
         )

@@ -401,7 +401,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
             f"engine: catalog v{stats['catalog_version']} "
             f"({stats['catalog_size']} datasets)"
         )
-        print(f"scan:   columnar {'on' if stats['columnar'] else 'off'}")
         print(
             f"cache:  {cache['hits']} hits / {cache['misses']} misses "
             f"/ {cache['evictions']} evictions "

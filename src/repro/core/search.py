@@ -24,11 +24,11 @@ import numpy as np
 
 from ..catalog.index import CatalogIndexes
 from ..catalog.records import DatasetFeature
-from ..catalog.store import CatalogStore
+from ..catalog.store import CatalogSnapshot, CatalogStore
 from ..hierarchy import ConceptHierarchy
 from ..obs import current_request, get_telemetry
 from .cache import QueryCache
-from .columnar import APPROX_TOLERANCE, ColumnarScorer, ColumnarSnapshot
+from .columnar import APPROX_TOLERANCE, ColumnarScorer
 from .query import Query
 from .scoring import (
     QueryScorer,
@@ -181,7 +181,7 @@ def score_rows_into(
        exact k-th best is >= A_k - tol, and a row reaching it has an
        approximate total >= A_k - 2*tol.  The page, its scores and
        breakdowns come from the scalar kernels alone, so they are
-       bit-identical to the object path by construction.
+       bit-identical to the object scorer by construction.
 
     The match count is exact too: a row whose approximate total is
     above ``tol`` (or above zero and bit-exact) scores exactly above
@@ -270,11 +270,13 @@ def hierarchy_digest(hierarchy: ConceptHierarchy | None) -> str | None:
 class SearchEngine:
     """Ranked similarity search over a catalog store.
 
-    A cache miss scores on the calling thread: one
-    :func:`score_rows_into` pass over the columnar view, or — with
-    ``columnar=False`` or a view that raced a writer — the object
-    scorer, which the tests keep as the scalar oracle.  Both produce
-    the identical page.
+    Every search runs over one :class:`~repro.catalog.store.CatalogSnapshot`
+    of the catalog, so its scores, ``total_matches`` and attached
+    features all come from one version.  Over a snapshot that is the
+    snapshot itself; over a live store the engine takes one per catalog
+    version and reuses it while the version holds.  A cache miss scores
+    every row of the snapshot's columnar view in one
+    :func:`score_rows_into` pass on the calling thread.
     """
 
     def __init__(
@@ -283,7 +285,6 @@ class SearchEngine:
         hierarchy: ConceptHierarchy | None = None,
         config: ScoringConfig | None = None,
         cache: QueryCache | bool = True,
-        columnar: bool = True,
     ) -> None:
         self.catalog = catalog
         self.hierarchy = hierarchy
@@ -295,11 +296,7 @@ class SearchEngine:
         if cache is True:
             cache = QueryCache()
         self.cache = cache if isinstance(cache, QueryCache) else None
-        # Columnar fast path: score over frozen facet columns instead of
-        # feature objects (bit-identical results — see core/columnar.py).
-        # Disable to force the object scorer, e.g. for A/B benchmarks.
-        self.columnar = columnar
-        self._columnar_cache: ColumnarSnapshot | None = None
+        self._snapshot: CatalogSnapshot | None = None
 
     @property
     def hierarchy(self) -> ConceptHierarchy | None:
@@ -326,73 +323,28 @@ class SearchEngine:
             )
         return self.indexes
 
-    def _score_into(
-        self, scorer: QueryScorer, query: Query, ids, top: _TopK
-    ) -> int:
-        """Score ``ids`` into the top-k heap; returns the exact number
-        scoring above zero (the object-path twin of
-        :func:`score_rows_into`, pushing ``feature=None`` like it)."""
-        matches = 0
-        get = self.catalog.get
-        is_empty = query.is_empty
-        for dataset_id in ids:
-            feature = get(dataset_id)
-            breakdown, positive = scorer.score_bounded(
-                feature, top.floor()
-            )
-            if breakdown is None:
-                # Provably below the current top-k floor; the bounded
-                # score skipped the variable terms, so count it from
-                # the full score.
-                if scorer.score(feature).total > 0.0:
-                    matches += 1
-                continue
-            if positive:
-                matches += 1
-            if breakdown.total <= 0.0 and not is_empty:
-                continue
-            top.push(
-                SearchResult(
-                    dataset_id=dataset_id,
-                    score=breakdown.total,
-                    breakdown=breakdown,
-                    feature=None,
-                )
-            )
-        return matches
+    def _current_snapshot(self) -> CatalogSnapshot:
+        """The snapshot one search runs over.
 
-    def columnar_view(self) -> ColumnarSnapshot | None:
-        """The frozen columnar view of the current catalog, or None.
-
-        A :class:`~repro.catalog.store.CatalogSnapshot` freezes (and
-        caches) its own columns, so every engine and request over the
-        same snapshot shares one view.  Over a *live* store the view is
-        frozen lazily and cached per catalog version; if a writer races
-        the freeze, this returns None and the query falls back to the
-        object scorer rather than serving columns of unknown vintage.
+        Reads the catalog version once: the kept snapshot while it is
+        at that version, else a fresh ``catalog.snapshot()`` (which a
+        :class:`~repro.catalog.store.CatalogSnapshot` answers with
+        itself).  A writer racing the read only means the fresh
+        snapshot is newer; it is consistent either way.
         """
-        if not self.columnar:
-            return None
-        catalog = self.catalog
-        frozen = getattr(catalog, "columnar", None)
-        if callable(frozen):  # CatalogSnapshot: one shared freeze
-            return frozen()
-        view = self._columnar_cache
-        version = catalog.version
-        if view is not None and view.version == version:
-            return view
-        view = ColumnarSnapshot.freeze(catalog.features(), version=version)
-        if catalog.version != version:
-            return None  # raced a writer; stay on the object path
-        self._columnar_cache = view
-        return view
+        version = self.catalog.version
+        snapshot = self._snapshot
+        if snapshot is None or snapshot.version != version:
+            snapshot = self.catalog.snapshot()
+            self._snapshot = snapshot
+        return snapshot
 
-    def _cache_key(self, query: Query, limit: int):
+    def _cache_key(self, version: int, query: Query, limit: int):
         # Everything the result depends on, by content.  The hierarchy
         # key is taken when the hierarchy is assigned, so mutating a
         # hierarchy in place still requires an explicit cache.clear().
         return (
-            self.catalog.version,
+            version,
             query,
             limit,
             self.config,
@@ -487,12 +439,14 @@ class SearchEngine:
         the datasets a full score-and-sort would.  Results are sorted by descending score, ties broken by
         dataset id for determinism.
 
-        Repeated queries are served from the version-keyed LRU cache
-        (when enabled); any catalog mutation bumps the store version and
-        misses past entries.  The cache holds pages without features;
-        every call, hit or miss, attaches fresh ``catalog.get()`` copies
-        of the page's features, so a caller mutating one cannot reach
-        the cache, the catalog or another caller.
+        The page, its scores, ``total_matches`` and its features all
+        come from one catalog snapshot, keyed by that snapshot's
+        version.  Repeated queries are served from the version-keyed
+        LRU cache (when enabled); any catalog mutation bumps the store
+        version and misses past entries.  The cache holds pages without
+        features; every call, hit or miss, attaches fresh copies of the
+        page's features from the snapshot, so a caller mutating one
+        cannot reach the cache, the catalog or another caller.
 
         Raises:
             ValueError: if ``limit`` is not positive.
@@ -502,13 +456,19 @@ class SearchEngine:
         telemetry = get_telemetry()
         telemetry.count("search.queries")
         with telemetry.span("search.query", limit=limit) as span:
-            results = self._with_features(self._search(query, limit, span))
+            snapshot = self._current_snapshot()
+            results = self._with_features(
+                snapshot, self._search(snapshot, query, limit, span)
+            )
         telemetry.observe("search.query_seconds", span.duration)
         return results
 
-    def _with_features(self, page: SearchResults) -> SearchResults:
+    @staticmethod
+    def _with_features(
+        snapshot: CatalogSnapshot, page: SearchResults
+    ) -> SearchResults:
         """``page`` with a fresh copy of each result's feature attached."""
-        get = self.catalog.get
+        get = snapshot.get
         return SearchResults(
             (
                 SearchResult(
@@ -523,11 +483,13 @@ class SearchEngine:
             truncated=page.truncated,
         )
 
-    def _search(self, query: Query, limit: int, span) -> SearchResults:
+    def _search(
+        self, snapshot: CatalogSnapshot, query: Query, limit: int, span
+    ) -> SearchResults:
         """The page for ``query`` without features (what the cache holds)."""
         telemetry = get_telemetry()
         context = current_request()
-        key = self._cache_key(query, limit)
+        key = self._cache_key(snapshot.version, query, limit)
         if self.cache is not None:
             cached = self.cache.get(key)
             if cached is not None:
@@ -551,15 +513,10 @@ class SearchEngine:
             query, hierarchy=self.hierarchy, config=self.config
         )
         top = _TopK(limit)
-        view = self.columnar_view()
-        if view is not None:
-            matches = score_rows_into(
-                ColumnarScorer(scorer, view), query, range(len(view)), top
-            )
-        else:
-            matches = self._score_into(
-                scorer, query, self.catalog.dataset_ids(), top
-            )
+        view = snapshot.columnar()
+        matches = score_rows_into(
+            ColumnarScorer(scorer, view), query, range(len(view)), top
+        )
         results = SearchResults(top.sorted_results(), total_matches=matches)
         if context is not None:
             context.annotate(results=len(results))
@@ -572,7 +529,6 @@ class SearchEngine:
         return {
             "catalog_version": self.catalog.version,
             "catalog_size": len(self.catalog),
-            "columnar": self.columnar,
             "cache": self.cache.stats() if self.cache is not None else None,
         }
 
@@ -581,17 +537,11 @@ class SearchEngine:
         scorer = QueryScorer(
             query, hierarchy=self.hierarchy, config=self.config
         )
-        view = self.columnar_view()
-        if view is not None:
-            cscorer = ColumnarScorer(scorer, view)
-            score_row = cscorer.score_row
-            return {
-                dataset_id: score_row(row).total
-                for row, dataset_id in enumerate(view.ids)
-            }
+        view = self._current_snapshot().columnar()
+        score_row = ColumnarScorer(scorer, view).score_row
         return {
-            feature.dataset_id: scorer.score(feature).total
-            for feature in self.catalog
+            dataset_id: score_row(row).total
+            for row, dataset_id in enumerate(view.ids)
         }
 
 
@@ -659,24 +609,25 @@ class BooleanSearchEngine:
 
         The scan continues past ``limit`` so ``total_matches`` is the
         exact match count — ``len(results) == limit`` alone cannot tell
-        a full page from a truncated one.
+        a full page from a truncated one.  It reads one catalog
+        snapshot, so a concurrent writer cannot tear it, and copies only
+        the page's features.
         """
         if limit <= 0:
             raise ValueError("limit must be positive")
         out: list[SearchResult] = []
         total = 0
-        for dataset_id in self.catalog.dataset_ids():
-            feature = self.catalog.get(dataset_id)
+        for feature in self.catalog.snapshot().shared_features():
             if not self._matches(query, feature):
                 continue
             total += 1
             if len(out) < limit:
                 out.append(
                     SearchResult(
-                        dataset_id=dataset_id,
+                        dataset_id=feature.dataset_id,
                         score=1.0,
                         breakdown=ScoreBreakdown(total=1.0),
-                        feature=feature,
+                        feature=feature.copy(),
                     )
                 )
         return SearchResults(out, total_matches=total)

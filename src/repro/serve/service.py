@@ -204,7 +204,7 @@ class SearchService:
                 # first admitted query scans flat columns instead of
                 # paying the one-time freeze under its own latency
                 # budget.
-                engine.columnar_view()
+                snapshot.columnar()
                 carried = 0
                 if (
                     used_delta

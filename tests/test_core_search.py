@@ -12,6 +12,7 @@ from repro.core import (
 )
 from repro.geo import BoundingBox, GeoPoint, TimeInterval
 from repro.hierarchy import vocabulary_hierarchy
+from tests.search_oracle import object_matches, object_scores
 
 
 def feature(dataset_id, lat, lon, t0, t1, variables):
@@ -90,10 +91,17 @@ class TestRankedSearch:
     def test_empty_query_matches_all(self, engine):
         assert len(engine.search(Query(), limit=10)) == 4
 
-    def test_score_all(self, engine):
-        scores = engine.score_all(paper_query())
+    def test_score_all(self, engine, catalog):
+        query = paper_query()
+        scores = engine.score_all(query)
+        assert scores == object_scores(
+            catalog, query, hierarchy=engine.hierarchy
+        )
         assert len(scores) == 4
         assert scores["near_now_temp"] > scores["near_then_temp"]
+        assert engine.search(query, limit=1).total_matches == object_matches(
+            catalog, query, hierarchy=engine.hierarchy
+        )
 
 
 class TestIndexedSearch:

@@ -1,4 +1,4 @@
-"""Columnar scoring is exactly the object path, property-tested.
+"""Columnar scoring is exactly the object oracle, property-tested.
 
 The exactness argument (DESIGN note 15): every scalar kernel the
 columnar loop calls — box/point distance, interval gap, range and name
@@ -6,8 +6,9 @@ similarity — is the *same function* the object path delegates to, the
 term weights and prune floor come from the same :class:`QueryScorer`
 instance, and rows are laid out in sorted-dataset-id order (the order
 ``dataset_ids()`` yields).  Hypothesis searches for counterexamples
-across random catalogs, query shapes and limits; equality is checked
-on ids, scores, order AND the full per-term breakdowns.
+across random catalogs (live stores and snapshots), query shapes and
+limits; equality with ``tests/search_oracle.py`` is checked on ids,
+scores, order, the full per-term breakdowns and ``total_matches``.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from repro.core.columnar import ColumnarSnapshot
 from repro.core.query import Query, VariableTerm
 from repro.core.search import SearchEngine
 from repro.geo import BoundingBox, GeoPoint, TimeInterval
+from tests.search_oracle import object_matches, object_scores, object_search
 
 VARIABLE_POOL = [
     "water_temperature",
@@ -86,12 +88,13 @@ def features(draw, index: int):
 
 @st.composite
 def catalogs(draw):
+    """A live store, or a snapshot of one."""
     count = draw(st.integers(min_value=1, max_value=40))
     catalog = MemoryCatalog()
     catalog.upsert_many(
         [draw(features(index)) for index in range(count)]
     )
-    return catalog
+    return catalog.snapshot() if draw(st.booleans()) else catalog
 
 
 @st.composite
@@ -129,14 +132,6 @@ def page(results):
     ]
 
 
-def exact_matches(engine, query) -> int:
-    """The exact ``total_matches``: datasets scoring above zero."""
-    return sum(
-        1 for score in engine.score_all(query).values()
-        if score > 0.0 or query.is_empty
-    )
-
-
 @given(
     catalog=catalogs(),
     query=queries(),
@@ -144,13 +139,12 @@ def exact_matches(engine, query) -> int:
 )
 @settings(max_examples=40, deadline=None)
 def test_columnar_page_equals_object_page(catalog, query, limit):
-    columnar = SearchEngine(catalog, cache=False, columnar=True)
-    objects = SearchEngine(catalog, cache=False, columnar=False)
-    expected = objects.search(query, limit=limit)
+    columnar = SearchEngine(catalog, cache=False)
+    expected = object_search(catalog, query, limit=limit)
     actual = columnar.search(query, limit=limit)
     assert page(actual) == page(expected)
-    assert actual.total_matches == expected.total_matches == exact_matches(
-        objects, query
+    assert actual.total_matches == expected.total_matches == object_matches(
+        catalog, query
     )
     # The columnar page defers feature materialization; the results the
     # caller sees must still carry real features.
@@ -166,24 +160,21 @@ def test_columnar_page_equals_object_page(catalog, query, limit):
 def test_columnar_with_indexes_equals_object(catalog, query, limit):
     # Columnar scanning composes with candidate pruning and the
     # excluded-bound remainder rescan.
-    columnar = SearchEngine(catalog, cache=False, columnar=True)
+    columnar = SearchEngine(catalog, cache=False)
     columnar.build_indexes()
-    objects = SearchEngine(catalog, cache=False, columnar=False)
-    objects.build_indexes()
-    expected = objects.search(query, limit=limit)
+    expected = object_search(catalog, query, limit=limit)
     actual = columnar.search(query, limit=limit)
     assert page(actual) == page(expected)
-    assert actual.total_matches == expected.total_matches == exact_matches(
-        objects, query
+    assert actual.total_matches == expected.total_matches == object_matches(
+        catalog, query
     )
 
 
 @given(catalog=catalogs(), query=queries())
 @settings(max_examples=20, deadline=None)
 def test_columnar_score_all_equals_object(catalog, query):
-    columnar = SearchEngine(catalog, cache=False, columnar=True)
-    objects = SearchEngine(catalog, cache=False, columnar=False)
-    assert columnar.score_all(query) == objects.score_all(query)
+    columnar = SearchEngine(catalog, cache=False)
+    assert columnar.score_all(query) == object_scores(catalog, query)
 
 
 @given(catalog=catalogs())
@@ -209,7 +200,7 @@ def test_freeze_layout_matches_searchable_variables(catalog):
         assert view.t_end[row] == feature.interval.end
 
 
-def test_stale_columnar_view_is_refrozen_after_edit():
+def test_live_store_search_takes_one_snapshot_per_version(monkeypatch):
     catalog = MemoryCatalog()
     make = lambda i, name: DatasetFeature(  # noqa: E731
         dataset_id=f"ds_{i}",
@@ -224,28 +215,29 @@ def test_stale_columnar_view_is_refrozen_after_edit():
             VariableEntry.from_written(name, "u", 10, 0.0, 30.0, 15.0, 5.0)
         ],
     )
+    taken = []
+    real_snapshot = catalog.snapshot
+
+    def counting_snapshot(*args, **kwargs):
+        snapshot = real_snapshot(*args, **kwargs)
+        taken.append(snapshot.version)
+        return snapshot
+
+    monkeypatch.setattr(catalog, "snapshot", counting_snapshot)
     catalog.upsert(make(0, "salinity"))
-    engine = SearchEngine(catalog, cache=False, columnar=True)
+    engine = SearchEngine(catalog, cache=False)
     query = Query(variables=(VariableTerm(name="salinity"),))
     assert [r.dataset_id for r in engine.search(query)] == ["ds_0"]
-    first = engine.columnar_view()
     catalog.upsert(make(1, "salinity"))
-    assert [r.dataset_id for r in engine.search(query)] == [
-        "ds_0", "ds_1"
-    ]
-    second = engine.columnar_view()
-    assert second is not first
-    assert second.version == catalog.version
+    for __ in range(3):
+        results = engine.search(query)
+        assert [r.dataset_id for r in results] == ["ds_0", "ds_1"]
+        assert engine.score_all(query).keys() == {"ds_0", "ds_1"}
+    # One snapshot per catalog version, however many searches read it.
+    assert taken == [1, 2]
 
 
-def test_columnar_disabled_has_no_view():
-    catalog = MemoryCatalog()
-    engine = SearchEngine(catalog, cache=False, columnar=False)
-    assert engine.columnar_view() is None
-    assert engine.stats()["columnar"] is False
-
-
-def test_snapshot_shares_one_freeze_across_engines():
+def test_snapshot_shares_one_freeze_across_engines(monkeypatch):
     catalog = MemoryCatalog()
     catalog.upsert(
         DatasetFeature(
@@ -265,7 +257,18 @@ def test_snapshot_shares_one_freeze_across_engines():
         )
     )
     snapshot = catalog.snapshot()
-    one = SearchEngine(snapshot, cache=False).columnar_view()
-    two = SearchEngine(snapshot, cache=False).columnar_view()
-    assert one is two  # frozen once, cached on the snapshot
-    assert len(one) == 1
+    frozen = []
+    real_freeze = ColumnarSnapshot.freeze
+
+    def counting_freeze(*args, **kwargs):
+        frozen.append(real_freeze(*args, **kwargs))
+        return frozen[-1]
+
+    monkeypatch.setattr(ColumnarSnapshot, "freeze", counting_freeze)
+    query = Query(variables=(VariableTerm(name="salinity"),))
+    for __ in range(2):
+        assert SearchEngine(snapshot, cache=False).search(query)
+    # Frozen once, cached on the snapshot and shared by both engines.
+    assert len(frozen) == 1
+    assert snapshot.columnar() is frozen[0]
+    assert len(frozen[0]) == 1

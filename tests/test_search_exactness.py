@@ -2,9 +2,10 @@
 
 The pruned-exactness contract — the columnar two-stage scan, upper-bound
 pruning, the bounded top-k heap and the query cache must return
-*identical* results (ids, scores, order) to an uncached object-scorer
-full scan — holds for every catalog, query, limit and decay shape
-Hypothesis can dream up.
+*identical* results (ids, scores, order, breakdowns and
+``total_matches``) to the object-scorer oracle of
+``tests/search_oracle.py`` — holds for every catalog (live or
+snapshot), query, limit and decay shape Hypothesis can dream up.
 """
 
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from repro.core import Query, ScoringConfig, SearchEngine, VariableTerm
 from repro.core.scoring import DECAY_SHAPES
 from repro.geo import BoundingBox, GeoPoint, TimeInterval
 from repro.hierarchy import vocabulary_hierarchy
+from tests.search_oracle import object_matches, object_search
 
 HIERARCHY = vocabulary_hierarchy()
 
@@ -67,10 +69,11 @@ def features(draw, index):
 
 @st.composite
 def catalogs(draw):
+    """A live store, or a snapshot of one."""
     catalog = MemoryCatalog()
     for i in range(draw(st.integers(0, 30))):
         catalog.upsert(draw(features(i)))
-    return catalog
+    return catalog.snapshot() if draw(st.booleans()) else catalog
 
 
 @st.composite
@@ -124,18 +127,19 @@ def test_fast_path_identical_to_full_scan(
     hierarchy = HIERARCHY if use_hierarchy else None
     config = ScoringConfig(decay_shape=shape)
     fast = SearchEngine(catalog, hierarchy=hierarchy, config=config)
-    naive = SearchEngine(
-        catalog, hierarchy=hierarchy, config=config, cache=False,
-        columnar=False,
+    oracle = object_search(
+        catalog, query, limit=limit, hierarchy=hierarchy, config=config
     )
-    expected = [
-        (r.dataset_id, r.score) for r in naive.search(query, limit=limit)
-    ]
+    expected = (
+        [(r.dataset_id, r.score, r.breakdown) for r in oracle],
+        oracle.total_matches,
+    )
     for attempt in range(2):  # second pass serves from the cache
-        got = [
-            (r.dataset_id, r.score)
-            for r in fast.search(query, limit=limit)
-        ]
+        results = fast.search(query, limit=limit)
+        got = (
+            [(r.dataset_id, r.score, r.breakdown) for r in results],
+            results.total_matches,
+        )
         assert got == expected, (
             f"fast path diverged (attempt {attempt}, shape={shape}): "
             f"{got} != {expected}"
@@ -152,9 +156,7 @@ def test_total_matches_contract(catalog, query, shape):
     """Exact when the page never fills; a lower bound once it does."""
     config = ScoringConfig(decay_shape=shape)
     engine = SearchEngine(catalog, config=config, cache=False)
-    exact = sum(
-        1 for total in engine.score_all(query).values() if total > 0.0
-    )
+    exact = object_matches(catalog, query, config=config)
     full_page = engine.search(query, limit=len(catalog) + 1)
     assert full_page.total_matches == exact
     assert not full_page.truncated

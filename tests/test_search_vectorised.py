@@ -10,9 +10,10 @@ kernels.  The properties pinned here:
   whose name matches a term;
 * the rows stage 2 rescores are a superset of the exact top-k, ties at
   the k-th score included;
-* pages and breakdowns are bit-identical to the object path, and
-  ``total_matches`` is the exact count of rows scoring above zero on
-  the columnar and object paths alike;
+* pages and breakdowns are bit-identical to the object oracle of
+  ``tests/search_oracle.py``, over live stores and snapshots alike,
+  and ``total_matches`` is the exact count of rows scoring above zero
+  on the engine and the oracle alike;
 * the columns numpy reads are zero-copy, read-only views with pinned
   dtypes and lengths.
 
@@ -42,6 +43,7 @@ from repro.core.query import Query, VariableTerm
 from repro.core.scoring import DECAY_SHAPES, QueryScorer, ScoringConfig
 from repro.core.search import SearchEngine, _TopK, score_rows_into
 from repro.geo import BoundingBox, GeoPoint, TimeInterval
+from tests.search_oracle import object_search
 
 VARIABLE_POOL = ["water_temperature", "salinity", "chlorophyll", "wind"]
 
@@ -313,27 +315,23 @@ def test_rescored_rows_cover_exact_top_k(catalog, query, config, limit):
     config=configs(),
     limit=st.integers(min_value=1, max_value=12),
     indexed=st.booleans(),
+    snapshot=st.booleans(),
 )
 @settings(max_examples=80, deadline=None)
 def test_pages_and_match_counts_agree_on_every_path(
-    catalog, query, config, limit, indexed
+    catalog, query, config, limit, indexed, snapshot
 ):
-    engines = {
-        "object": SearchEngine(
-            catalog, config=config, cache=False, columnar=False
-        ),
-        "serial": SearchEngine(catalog, config=config, cache=False),
-    }
+    if snapshot:
+        catalog = catalog.snapshot()
+    engine = SearchEngine(catalog, config=config, cache=False)
     if indexed:
-        for engine in engines.values():
-            engine.build_indexes()
+        engine.build_indexes()
     expected = exact_matches(exact_totals(catalog, query, config), query)
-    oracle = engines["object"].search(query, limit=limit)
+    oracle = object_search(catalog, query, limit=limit, config=config)
     assert oracle.total_matches == expected
-    for name, engine in engines.items():
-        results = engine.search(query, limit=limit)
-        assert page(results) == page(oracle), name
-        assert results.total_matches == expected, name
+    results = engine.search(query, limit=limit)
+    assert page(results) == page(oracle)
+    assert results.total_matches == expected
 
 
 def _feature(index: int, entries) -> DatasetFeature:

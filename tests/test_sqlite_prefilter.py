@@ -20,6 +20,7 @@ from repro.catalog.records import DatasetFeature, VariableEntry
 from repro.core.query import Query, VariableTerm
 from repro.core.search import SearchEngine
 from repro.geo import BoundingBox, GeoPoint, TimeInterval
+from tests.search_oracle import object_search
 
 
 def _build_has_rtree() -> bool:
@@ -258,7 +259,7 @@ class TestConservativeSuperset:
 class TestEngineLadder:
     """No setup of the engine narrows the scan: over a live store, over
     a snapshot, with or without indexes attached, every search serves
-    the object scorer's page."""
+    the object oracle's page."""
 
     def _queries(self) -> list[Query]:
         return [
@@ -271,10 +272,10 @@ class TestEngineLadder:
             Query(interval=TimeInterval(0.0, 1e6)),
         ]
 
-    def _pages(self, engine: SearchEngine) -> list:
+    def _pages(self, search) -> list:
         pages = []
         for q in self._queries():
-            results = engine.search(q, limit=10)
+            results = search(q, limit=10)
             pages.append((
                 [(r.dataset_id, r.score, r.breakdown) for r in results],
                 results.total_matches,
@@ -285,13 +286,14 @@ class TestEngineLadder:
         features = spread_features(60)
         reference = MemoryCatalog()
         reference.upsert_many(features)
-        baseline = SearchEngine(reference, cache=False, columnar=False)
-        expected = self._pages(baseline)
+        expected = self._pages(
+            lambda q, limit: object_search(reference, q, limit=limit)
+        )
 
         with SqliteCatalog() as store:
             store.upsert_many(features)
             for catalog in (store, store.snapshot()):
                 engine = SearchEngine(catalog, cache=False)
-                assert self._pages(engine) == expected
+                assert self._pages(engine.search) == expected
                 engine.build_indexes()
-                assert self._pages(engine) == expected
+                assert self._pages(engine.search) == expected
