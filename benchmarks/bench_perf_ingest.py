@@ -14,7 +14,11 @@ the system along the axes the ingest fast path optimizes:
   memoized, digest cache version-matched, so the run must compute ZERO
   feature digests and issue ZERO store writes,
 * **small-edit re-wrangle** — a handful of files edited, so cost should
-  track the edit count, not the archive size.
+  track the edit count, not the archive size,
+* **store write** — the catalog's own write path alone: one
+  ``upsert_many`` of features shaped like the search benchmark's into a
+  fresh file catalog, then a re-publish of the same features into the
+  full one, with the statements each batch issues.
 
 The equality gate is asserted inside the run: the fast path (serial and
 parallel) must produce a catalog observably identical to the seed serial
@@ -46,6 +50,8 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 if str(REPO_ROOT / "src") not in sys.path:  # allow running without PYTHONPATH
     sys.path.insert(0, str(REPO_ROOT / "src"))
+if str(REPO_ROOT / "benchmarks") not in sys.path:
+    sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
 
 import repro.wrangling.publish as publish_mod
 from repro.archive.filesystem import VirtualArchive
@@ -57,6 +63,8 @@ from repro.wrangling import WranglingState
 from repro.wrangling.chain import ProcessChain
 from repro.wrangling.publish import Publish
 from repro.wrangling.scan import ScanArchive
+
+from bench_perf_search import synthetic_catalog
 
 SECONDS_PER_DAY = 86_400.0
 EPOCH_2008 = 1_199_145_600.0  # 2008-01-01T00:00:00Z
@@ -335,6 +343,83 @@ def measure_telemetry_overhead(fs: VirtualArchive, repeats: int) -> dict:
     }
 
 
+class CountingConnection:
+    """Delegates to a ``sqlite3.Connection``, counting the
+    ``execute``/``executemany`` calls made through it."""
+
+    def __init__(self, conn) -> None:
+        self._conn = conn
+        self.statements = 0
+
+    def execute(self, *args):
+        self.statements += 1
+        return self._conn.execute(*args)
+
+    def executemany(self, *args):
+        self.statements += 1
+        return self._conn.executemany(*args)
+
+    def __enter__(self):
+        return self._conn.__enter__()
+
+    def __exit__(self, *exc_info):
+        return self._conn.__exit__(*exc_info)
+
+    def __getattr__(self, name):
+        return getattr(self._conn, name)
+
+
+def counted_statements(store: SqliteCatalog, write) -> int:
+    """The statements ``write()`` issues through ``store``'s connection."""
+    proxy = CountingConnection(store._conn)
+    store._conn = proxy
+    try:
+        write()
+    finally:
+        store._conn = proxy._conn
+    return proxy.statements
+
+
+def spread(times: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(times, n=4, method="inclusive")
+    return {"median_s": median, "q1_s": q1, "q3_s": q3, "runs_s": times}
+
+
+def measure_store_write(n_datasets: int, repeats: int, tmpdir: str) -> dict:
+    """``upsert_many`` of ``n_datasets`` search-shaped features (4-8
+    variables each) into a fresh file catalog, then the same batch again
+    into the now full one; each timed from a collected heap."""
+    features = list(synthetic_catalog(n_datasets, seed=3001).features())
+    fresh: list[float] = []
+    republish: list[float] = []
+    for attempt in range(repeats):
+        store = SqliteCatalog(os.path.join(tmpdir, f"write_{attempt}.db"))
+        try:
+            gc.collect()
+            fresh.append(timed(lambda: store.upsert_many(features)))
+            gc.collect()
+            republish.append(timed(lambda: store.upsert_many(features)))
+        finally:
+            store.close()
+    with SqliteCatalog(os.path.join(tmpdir, "write_counted.db")) as store:
+        fresh_statements = counted_statements(
+            store, lambda: store.upsert_many(features)
+        )
+        republish_statements = counted_statements(
+            store, lambda: store.upsert_many(features)
+        )
+    return {
+        "features": len(features),
+        "variables": sum(len(f.variables) for f in features),
+        "repeats": repeats,
+        "cpu_count": os.cpu_count(),
+        "fresh": {**spread(fresh), "statements": fresh_statements},
+        "republish": {
+            **spread(republish), "statements": republish_statements
+        },
+    }
+
+
 def run(n_datasets: int, rows: int, repeats: int, n_edits: int) -> dict:
     print(f"building a {n_datasets}-dataset synthetic archive ...")
     fs = build_archive(n_datasets, rows=rows, seed=7)
@@ -371,6 +456,10 @@ def run(n_datasets: int, rows: int, repeats: int, n_edits: int) -> dict:
             result["backends"][backend] = bench_backend(
                 backend, fs, tmpdir, repeats, n_edits, rows
             )
+        print("timing the store's batched write ...")
+        result["store_write"] = measure_store_write(
+            n_datasets, max(5, 2 * repeats + 1), tmpdir
+        )
     print("measuring telemetry overhead on the serial path ...")
     result.update(measure_telemetry_overhead(fs, repeats))
     sqlite = result["backends"]["sqlite_file"]
@@ -434,6 +523,14 @@ def main(argv=None) -> int:
             f"edit({b['small_edit_files']}) "
             f"{b['small_edit_s'] * 1000.0:7.1f}ms"
         )
+    write = result["store_write"]
+    print(
+        f"store write  {write['features']} features: fresh "
+        f"{write['fresh']['median_s'] * 1000.0:7.1f}ms "
+        f"({write['fresh']['statements']} statements)  republish "
+        f"{write['republish']['median_s'] * 1000.0:7.1f}ms "
+        f"({write['republish']['statements']} statements)"
+    )
     print(
         f"telemetry    base {result['telemetry_base_s']:7.3f}s  "
         f"instrumented {result['telemetry_on_s']:7.3f}s  "

@@ -6,6 +6,16 @@ database; this store provides the same durability with the stdlib
 ``variables`` — with the dataset's feature fields flattened into columns
 so range predicates can run inside SQLite.
 
+Every upsert, removal or clear runs as one transaction whose statement
+count does not depend on its size: a batch's features are staged (the
+last occurrence of an id wins), then one ``executemany`` deletes their
+ids — skipped when the store is known to be empty — one inserts their
+``datasets`` rows and one their ``variables`` rows, fed by generators;
+removals are one more ``executemany``.  There are no per-feature
+statements, and no index beyond the keys and ``idx_variables_name``:
+the ``datasets`` range indexes of older builds are dropped on open,
+since no search reads them.
+
 Writes are hardened against contention: file-backed connections set
 ``busy_timeout`` so SQLite waits out short lock windows itself, and
 every write transaction runs under a bounded busy/locked retry
@@ -28,10 +38,14 @@ catalog version they are valid at.  It is seeded when the database is
 empty at open, refilled by every full :meth:`~SqliteCatalog.snapshot`
 read, and advanced by each of this connection's own committed writes,
 so serving a catalog just published through this connection never reads
-it back.  Each entry is built from the very row tuples bound to the
-INSERTs, normalised to what SQLite stores and decoded by the same
-``_feature_from_row``/``_variable_from_row`` as a disk read, which makes
-it equal to one by construction.  A write from another connection (the
+it back.  Each entry is built in the same pass that binds its
+``datasets`` row, straight from the input feature: when every value has
+exactly the type its column stores, only a zero statistic changes
+(``-0.0`` is stored as ``0.0``) and the frozen ``bbox``/``interval`` are
+shared; any other feature is decoded from its bound row tuples,
+normalised to what SQLite stores, by the same
+``_feature_from_row``/``_variable_from_row`` as a disk read.  Either
+way the entry equals a disk read.  A write from another connection (the
 version moves by more than our own bump), a bulk SQL sweep
 (``rename_*``/``set_*``) or :meth:`~SqliteCatalog.close` drops it, and
 the next :meth:`~SqliteCatalog.snapshot` reads the disk again.  Point
@@ -103,10 +117,6 @@ CREATE TABLE IF NOT EXISTS variables (
     PRIMARY KEY (dataset_id, position)
 );
 CREATE INDEX IF NOT EXISTS idx_variables_name ON variables(name);
-CREATE INDEX IF NOT EXISTS idx_datasets_bbox
-    ON datasets(min_lat, max_lat, min_lon, max_lon);
-CREATE INDEX IF NOT EXISTS idx_datasets_time
-    ON datasets(time_start, time_end);
 CREATE TABLE IF NOT EXISTS catalog_meta (
     key   TEXT PRIMARY KEY,
     value INTEGER NOT NULL
@@ -114,12 +124,21 @@ CREATE TABLE IF NOT EXISTS catalog_meta (
 INSERT OR IGNORE INTO catalog_meta (key, value) VALUES ('version', 0);
 """
 
+# A batch is written with one ``executemany`` of each; the variables of
+# a deleted dataset go with it (``ON DELETE CASCADE``).
+_DELETE_DATASET = "DELETE FROM datasets WHERE dataset_id = ?"
+_INSERT_DATASET = "INSERT INTO datasets VALUES (?,?,?,?,?,?,?,?,?,?,?,?,?,?)"
+_INSERT_VARIABLE = (
+    "INSERT INTO variables VALUES (?,?,?,?,?,?,?,?,?,?,?,?,?,?,?)"
+)
+
 # -- what SQLite hands back for a bound value ----------------------------------
 #
-# The mirror decodes the tuples it bound, so first they are brought to
-# the values a read of the same rows returns.  A value whose stored form
-# is not known here (a non-``str`` in a TEXT column, a ``str`` in a
-# numeric one) raises TypeError, and the caller drops the mirror.
+# A mirror entry off the fast path (``_stored_feature``) is decoded from
+# the tuples bound for it, so first they are brought to the values a
+# read of the same rows returns.  A value whose stored form is not known
+# here (a non-``str`` in a TEXT column, a ``str`` in a numeric one)
+# raises TypeError, and the caller drops the mirror.
 
 #: Reals strictly inside this range that are integral come back from an
 #: INTEGER column as ints (SQLite's integer affinity).
@@ -221,6 +240,92 @@ def _stored_variable_row(row: tuple) -> tuple:
     )
 
 
+def _stored_feature(
+    feature: DatasetFeature, row: tuple
+) -> DatasetFeature | None:
+    """What a read of ``feature``, bound as the ``datasets`` ``row``,
+    returns, built straight from the feature; ``None`` off the fast path.
+
+    The fast path is the common shape: every value has exactly the type
+    its column stores and no box or interval coordinate is zero, so the
+    frozen ``bbox`` and ``interval`` are shared and only a variable's
+    zero statistic (``-0.0`` → ``0.0``) changes.  Like
+    :meth:`DatasetFeature.copy`, the entry shares the feature's strings
+    rather than interning them as a disk read does: the caller's
+    features hold those strings anyway.
+    """
+    (
+        dataset_id, title, platform, file_format,
+        min_lat, min_lon, max_lat, max_lon, start, end,
+        row_count, source_dir, attributes, content_hash,
+    ) = row
+    bbox, interval = feature.bbox, feature.interval
+    if not (
+        str is type(dataset_id) is type(title) is type(platform)
+        is type(file_format) is type(source_dir) is type(attributes)
+        is type(content_hash)
+        and type(row_count) is int
+        and float is type(min_lat) is type(min_lon) is type(max_lat)
+        is type(max_lon) is type(start) is type(end)
+        and min_lat and min_lon and max_lat and max_lon and start and end
+        and type(bbox) is BoundingBox and type(interval) is TimeInterval
+    ):
+        return None
+    variables = []
+    for v in feature.variables:
+        written_name, written_unit, name, unit = (
+            v.written_name, v.written_unit, v.name, v.unit
+        )
+        count, minimum, maximum, mean, stddev = (
+            v.count, v.minimum, v.maximum, v.mean, v.stddev
+        )
+        excluded, ambiguous, context, resolution = (
+            v.excluded, v.ambiguous, v.context, v.resolution
+        )
+        if not (
+            str is type(written_name) is type(written_unit) is type(name)
+            is type(unit) is type(context) is type(resolution)
+            and type(count) is int
+            and float is type(minimum) is type(maximum) is type(mean)
+            is type(stddev)
+            and bool is type(excluded) is type(ambiguous)
+        ):
+            return None
+        if not (minimum and maximum and mean and stddev):
+            minimum, maximum = minimum + 0.0, maximum + 0.0
+            mean, stddev = mean + 0.0, stddev + 0.0
+        variables.append(
+            VariableEntry(
+                written_name,
+                written_unit,
+                name,
+                unit,
+                count,
+                minimum,
+                maximum,
+                mean,
+                stddev,
+                excluded,
+                ambiguous,
+                context,
+                resolution,
+            )
+        )
+    return DatasetFeature(
+        dataset_id,
+        title,
+        platform,
+        file_format,
+        bbox,
+        interval,
+        row_count,
+        source_dir,
+        json.loads(attributes),
+        variables,
+        content_hash,
+    )
+
+
 class SqliteCatalog(CatalogStore):
     """A :class:`CatalogStore` persisted in SQLite.
 
@@ -258,8 +363,9 @@ class SqliteCatalog(CatalogStore):
         self._conn.executescript(_SCHEMA)
         self._conn.commit()
         # Catalog files written by older builds carry R*Tree triggers
-        # that double the cost of every ``datasets`` write; drop them.
-        self._drop_rtree_artifacts()
+        # and range indexes that every ``datasets`` write maintains for
+        # no reader; drop them.
+        self._drop_legacy_artifacts()
         # The write-through mirror (module docstring): id -> feature,
         # valid while the live version equals ``_mirror_version``.  An
         # empty database is known in full, so it starts with one.
@@ -271,15 +377,21 @@ class SqliteCatalog(CatalogStore):
         ).fetchone()
         if count == 0:
             self._mirror, self._mirror_version = {}, version
+        # The batch being written: id -> feature, filled by
+        # :meth:`_write_feature` inside a write transaction.
+        self._staged: dict[str, DatasetFeature] | None = None
 
-    def _drop_rtree_artifacts(self) -> None:
-        """Remove the R*Tree prefilter tables and triggers of old builds.
+    def _drop_legacy_artifacts(self) -> None:
+        """Remove the prefilter structures of old builds.
 
-        The triggers are the costly remnant: they mirror every write
-        into the virtual table.  Dropping the virtual table itself needs
-        the rtree module — when that fails the orphaned table is left
-        behind, inert now that the triggers are gone.
+        Those are the ``datasets`` range indexes and the R*Tree tables
+        and triggers; the indexes and triggers are the costly remnant,
+        maintained on every write.  Dropping the R*Tree virtual table
+        itself needs the rtree module — when that fails the orphaned
+        table is left behind, inert now that the triggers are gone.
         """
+        self._conn.execute("DROP INDEX IF EXISTS idx_datasets_bbox")
+        self._conn.execute("DROP INDEX IF EXISTS idx_datasets_time")
         self._conn.execute("DROP TRIGGER IF EXISTS trg_prefilter_insert")
         self._conn.execute("DROP TRIGGER IF EXISTS trg_prefilter_delete")
         try:
@@ -292,16 +404,16 @@ class SqliteCatalog(CatalogStore):
     # -- candidate range scans ------------------------------------------------
     #
     # No search reads these (every miss scores all rows in one array
-    # pass); they remain for callers that still ask for them.
+    # pass); they remain for callers that still ask for them, as full
+    # scans of ``datasets``: no index serves them.
 
     def prefilter_candidates_near(
         self, point: GeoPoint, radius_km: float
     ) -> set[str] | None:
         """Ids whose box may lie within ``radius_km`` of ``point``.
 
-        Runs inside SQLite against the ``idx_datasets_bbox`` composite
-        index, with the same conservative degree margins as
-        :meth:`SpatialGridIndex.candidates_near` (shared via
+        A table scan inside SQLite, with the same conservative degree
+        margins as :meth:`SpatialGridIndex.candidates_near` (shared via
         :func:`spatial_query_margins`); returns ``None`` when the margin
         covers the globe, i.e. no spatial constraint at all.
         """
@@ -328,10 +440,9 @@ class SqliteCatalog(CatalogStore):
     ) -> set[str] | None:
         """Ids whose interval overlaps ``interval`` grown by the margin.
 
-        Runs against the ``idx_datasets_time`` composite index; the
-        overlap predicate matches :meth:`IntervalIndex.
-        candidates_overlapping` exactly (not-overlapping ⇔ start > hi or
-        end < lo).
+        A table scan inside SQLite; the overlap predicate matches
+        :meth:`IntervalIndex.candidates_overlapping` exactly
+        (not-overlapping ⇔ start > hi or end < lo).
         """
         if margin_seconds < 0:
             raise ValueError("margin_seconds must be non-negative")
@@ -465,42 +576,123 @@ class SqliteCatalog(CatalogStore):
         ).fetchone()
         return value
 
-    def _write_features(
-        self, features: Iterable[DatasetFeature]
-    ) -> list[DatasetFeature] | None:
-        """Write ``features`` in order inside the caller's transaction.
+    def _apply(
+        self,
+        upserts: list[DatasetFeature],
+        removals: list[str],
+        clear: bool = False,
+    ) -> tuple[int, int]:
+        """One write transaction: the clear, the upserts, the removals.
 
-        While there is a mirror, each feature's mirror entry is built
-        right after its rows are bound, while they are still hot; the
-        entries are returned for :meth:`_advance_mirror` to apply once
-        the transaction commits.  ``None`` means there is nothing to
-        apply: no mirror, or a row whose stored form is not known.
+        Every mutator but the bulk SQL sweeps (``rename_*``/``set_*``)
+        runs through here under :meth:`_write`, so each issues a number
+        of statements independent of its batch size.
+        The version is bumped first whenever the batch is sure to change
+        the catalog: the bump takes the write lock, and the version it
+        returns tells whether the store is known to be empty (an empty
+        mirror valid one version earlier), in which case the upserts
+        need no ``DELETE``.  Removals alone bump only if they removed a
+        row.  Returns ``(len(upserts), rows removed)``.
         """
+        conn = self._conn
+        version = None
+        entries: list[DatasetFeature] | None = []
+        removed = 0
+        with conn:
+            if clear:
+                conn.execute("DELETE FROM variables")
+                conn.execute("DELETE FROM datasets")
+            if clear or upserts:
+                version = self._bump_version()
+            if upserts:
+                mirror = self._mirror
+                known_empty = clear or (
+                    mirror is not None
+                    and not mirror
+                    and self._mirror_version == version - 1
+                )
+                entries = self._write_features(upserts, known_empty)
+            if removals:
+                removed = conn.executemany(
+                    _DELETE_DATASET, ((i,) for i in removals)
+                ).rowcount
+                if version is None and removed:
+                    version = self._bump_version()
+        if version is not None:
+            self._advance_mirror(version, entries, removals, cleared=clear)
+        return len(upserts), removed
+
+    def _write_features(
+        self, features: list[DatasetFeature], known_empty: bool
+    ) -> list[DatasetFeature] | None:
+        """Write ``features`` inside the caller's transaction.
+
+        Each feature is staged through :meth:`_write_feature`, so a
+        later occurrence of an id replaces an earlier one.  Then one
+        ``executemany`` deletes the staged ids (unless the store is
+        ``known_empty``), one inserts their ``datasets`` rows and one
+        their ``variables`` rows, each fed by a generator so no row
+        outlives its binding.  While there is a mirror, the dataset pass
+        also builds each feature's mirror entry; the entries are
+        returned for :meth:`_advance_mirror` to apply once the
+        transaction commits.  ``None`` means there is nothing to apply:
+        no mirror, or a value whose stored form is not known.
+        """
+        staged: dict[str, DatasetFeature] = {}
+        self._staged = staged
+        try:
+            for feature in features:
+                self._write_feature(feature)
+        finally:
+            self._staged = None
+        conn = self._conn
+        if not known_empty:
+            conn.executemany(
+                _DELETE_DATASET, ((dataset_id,) for dataset_id in staged)
+            )
         entries: list[DatasetFeature] | None = (
             [] if self._mirror is not None else None
         )
         strings: dict[str, str] = {}
-        for feature in features:
-            rows = self._write_feature(feature)
-            if entries is not None:
-                try:
-                    entries.append(self._mirror_entry(rows, strings))
-                except (TypeError, ValueError):
-                    entries = None
+        dataset_row = self._dataset_row
+
+        def dataset_rows():
+            nonlocal entries
+            for feature in staged.values():
+                row = dataset_row(feature)
+                if entries is not None:
+                    try:
+                        entries.append(
+                            _stored_feature(feature, row)
+                            or self._decoded_entry(feature, row, strings)
+                        )
+                    except (TypeError, ValueError):
+                        entries = None
+                yield row
+
+        conn.executemany(_INSERT_DATASET, dataset_rows())
+        variable_rows = self._variable_rows
+        conn.executemany(
+            _INSERT_VARIABLE,
+            (
+                row
+                for feature in staged.values()
+                for row in variable_rows(feature)
+            ),
+        )
         return entries
 
-    def _mirror_entry(
-        self, rows: tuple, strings: dict[str, str]
+    def _decoded_entry(
+        self, feature: DatasetFeature, row: tuple, strings: dict[str, str]
     ) -> DatasetFeature:
-        """What a disk read of the ``(dataset row, variable rows)`` just
-        bound returns.  An override of :meth:`_write_feature` that
-        returns no rows raises TypeError here, like an unknown value."""
-        row, variable_rows = rows
+        """A mirror entry off the fast path: the rows bound for
+        ``feature`` normalised to what SQLite stores and decoded as a
+        disk read decodes them.  An unknown value raises TypeError."""
         return self._feature_from_row(
             _stored_dataset_row(row),
             variables=[
                 self._variable_from_row(_stored_variable_row(v), strings)
-                for v in variable_rows
+                for v in self._variable_rows(feature)
             ],
         )
 
@@ -589,59 +781,28 @@ class SqliteCatalog(CatalogStore):
             for position, v in enumerate(feature.variables)
         ]
 
-    def _write_feature(self, feature: DatasetFeature) -> tuple:
-        """Insert-or-replace one feature inside the caller's transaction.
-
-        Returns the ``(dataset row, variable rows)`` tuples it bound,
-        from which the mirror builds its entry.
-        """
-        row = self._dataset_row(feature)
-        variable_rows = self._variable_rows(feature)
-        self._conn.execute(
-            "DELETE FROM datasets WHERE dataset_id = ?",
-            (feature.dataset_id,),
-        )
-        self._conn.execute(
-            "INSERT INTO datasets VALUES (?,?,?,?,?,?,?,?,?,?,?,?,?,?)",
-            row,
-        )
-        self._conn.executemany(
-            "INSERT INTO variables VALUES "
-            "(?,?,?,?,?,?,?,?,?,?,?,?,?,?,?)",
-            variable_rows,
-        )
-        return row, variable_rows
+    def _write_feature(self, feature: DatasetFeature) -> None:
+        """Stage one feature of the batch :meth:`_write_features` is
+        writing; a later feature with the same id replaces it."""
+        self._staged[feature.dataset_id] = feature
 
     def upsert(self, feature: DatasetFeature) -> None:
-        def write() -> None:
-            with self._conn:
-                entries = self._write_features([feature])
-                version = self._bump_version()
-            self._advance_mirror(version, entries)
-
-        self._write(write, f"upsert:{feature.dataset_id}")
+        self._write(
+            lambda: self._apply([feature], []), f"upsert:{feature.dataset_id}"
+        )
 
     def upsert_many(self, features: Iterable[DatasetFeature]) -> int:
         """Write a whole batch in ONE transaction with ONE version bump.
 
         Publishing N changed datasets costs one commit (one WAL sync on
-        file-backed catalogs) instead of N, and version-keyed caches see
-        a single invalidation for the batch.
+        file-backed catalogs) and a fixed number of statements instead
+        of N, and version-keyed caches see a single invalidation for the
+        batch.
         """
         # Materialize so a busy-retried transaction replays the same
         # batch even when handed a one-shot generator.
         batch = list(features)
-
-        def write() -> int:
-            with self._conn:
-                entries = self._write_features(batch)
-                if batch:
-                    version = self._bump_version()
-            if batch:
-                self._advance_mirror(version, entries)
-            return len(batch)
-
-        return self._write(write, "upsert_many")
+        return self._write(lambda: self._apply(batch, [])[0], "upsert_many")
 
     def get(self, dataset_id: str) -> DatasetFeature:
         with self._lock:
@@ -714,40 +875,15 @@ class SqliteCatalog(CatalogStore):
         )
 
     def remove(self, dataset_id: str) -> None:
-        def write() -> int:
-            with self._conn:
-                cursor = self._conn.execute(
-                    "DELETE FROM datasets WHERE dataset_id = ?",
-                    (dataset_id,),
-                )
-                if cursor.rowcount:
-                    version = self._bump_version()
-            if cursor.rowcount:
-                self._advance_mirror(version, removed=[dataset_id])
-            return cursor.rowcount
-
-        if self._write(write, f"remove:{dataset_id}") == 0:
+        removed = self._write(
+            lambda: self._apply([], [dataset_id])[1], f"remove:{dataset_id}"
+        )
+        if removed == 0:
             raise DatasetNotFoundError(dataset_id)
 
     def remove_many(self, dataset_ids: Iterable[str]) -> int:
         batch = list(dataset_ids)
-
-        def write() -> int:
-            removed = 0
-            with self._conn:
-                for dataset_id in batch:
-                    cursor = self._conn.execute(
-                        "DELETE FROM datasets WHERE dataset_id = ?",
-                        (dataset_id,),
-                    )
-                    removed += cursor.rowcount
-                if removed:
-                    version = self._bump_version()
-            if removed:
-                self._advance_mirror(version, removed=batch)
-            return removed
-
-        return self._write(write, "remove_many")
+        return self._write(lambda: self._apply([], batch)[1], "remove_many")
 
     def features(self):
         """Bulk read: the whole catalog in 2 queries instead of 1+2N.
@@ -795,14 +931,7 @@ class SqliteCatalog(CatalogStore):
         return count
 
     def clear(self) -> None:
-        def write() -> None:
-            with self._conn:
-                self._conn.execute("DELETE FROM variables")
-                self._conn.execute("DELETE FROM datasets")
-                version = self._bump_version()
-            self._advance_mirror(version, cleared=True)
-
-        self._write(write, "clear")
+        self._write(lambda: self._apply([], [], clear=True), "clear")
 
     def apply_batch(
         self,
@@ -817,24 +946,9 @@ class SqliteCatalog(CatalogStore):
         """
         upsert_batch = list(upserts)
         removal_batch = list(removals)
-
-        def write() -> tuple[int, int]:
-            removed = 0
-            with self._conn:
-                entries = self._write_features(upsert_batch)
-                for dataset_id in removal_batch:
-                    cursor = self._conn.execute(
-                        "DELETE FROM datasets WHERE dataset_id = ?",
-                        (dataset_id,),
-                    )
-                    removed += cursor.rowcount
-                if upsert_batch or removed:
-                    version = self._bump_version()
-            if upsert_batch or removed:
-                self._advance_mirror(version, entries, removal_batch)
-            return len(upsert_batch), removed
-
-        return self._write(write, "apply_batch")
+        return self._write(
+            lambda: self._apply(upsert_batch, removal_batch), "apply_batch"
+        )
 
     def replace_all(self, features: Iterable[DatasetFeature]) -> int:
         """Swap in a whole new catalog: one transaction, one bump.
@@ -843,17 +957,9 @@ class SqliteCatalog(CatalogStore):
         the emptied intermediate state.
         """
         batch = list(features)
-
-        def write() -> int:
-            with self._conn:
-                self._conn.execute("DELETE FROM variables")
-                self._conn.execute("DELETE FROM datasets")
-                entries = self._write_features(batch)
-                version = self._bump_version()
-            self._advance_mirror(version, entries, cleared=True)
-            return len(batch)
-
-        return self._write(write, "replace_all")
+        return self._write(
+            lambda: self._apply(batch, [], clear=True)[0], "replace_all"
+        )
 
     # -- bulk operations pushed into SQL --------------------------------------
 

@@ -267,6 +267,22 @@ def hierarchy_digest(hierarchy: ConceptHierarchy | None) -> str | None:
     return digest.hexdigest()
 
 
+def _kept_snapshot(
+    catalog: CatalogStore, kept: CatalogSnapshot | None
+) -> CatalogSnapshot:
+    """The snapshot a search of ``catalog`` runs over.
+
+    Reads the catalog version once: ``kept`` while it is at that
+    version, else a fresh ``catalog.snapshot()`` (which a
+    :class:`~repro.catalog.store.CatalogSnapshot` answers with itself).
+    A writer racing the read only means the fresh snapshot is newer; it
+    is consistent either way.
+    """
+    if kept is None or kept.version != catalog.version:
+        kept = catalog.snapshot()
+    return kept
+
+
 class SearchEngine:
     """Ranked similarity search over a catalog store.
 
@@ -324,19 +340,10 @@ class SearchEngine:
         return self.indexes
 
     def _current_snapshot(self) -> CatalogSnapshot:
-        """The snapshot one search runs over.
-
-        Reads the catalog version once: the kept snapshot while it is
-        at that version, else a fresh ``catalog.snapshot()`` (which a
-        :class:`~repro.catalog.store.CatalogSnapshot` answers with
-        itself).  A writer racing the read only means the fresh
-        snapshot is newer; it is consistent either way.
-        """
-        version = self.catalog.version
-        snapshot = self._snapshot
-        if snapshot is None or snapshot.version != version:
-            snapshot = self.catalog.snapshot()
-            self._snapshot = snapshot
+        """The snapshot one search runs over (:func:`_kept_snapshot`)."""
+        snapshot = self._snapshot = _kept_snapshot(
+            self.catalog, self._snapshot
+        )
         return snapshot
 
     def _cache_key(self, version: int, query: Query, limit: int):
@@ -566,6 +573,7 @@ class BooleanSearchEngine:
     ) -> None:
         self.catalog = catalog
         self.hierarchy = hierarchy
+        self._snapshot: CatalogSnapshot | None = None
 
     def _matches(self, query: Query, feature: DatasetFeature) -> bool:
         if query.location is not None:
@@ -610,14 +618,18 @@ class BooleanSearchEngine:
         The scan continues past ``limit`` so ``total_matches`` is the
         exact match count — ``len(results) == limit`` alone cannot tell
         a full page from a truncated one.  It reads one catalog
-        snapshot, so a concurrent writer cannot tear it, and copies only
-        the page's features.
+        snapshot, kept across searches while the catalog version holds,
+        so a concurrent writer cannot tear it, and copies only the
+        page's features.
         """
         if limit <= 0:
             raise ValueError("limit must be positive")
         out: list[SearchResult] = []
         total = 0
-        for feature in self.catalog.snapshot().shared_features():
+        snapshot = self._snapshot = _kept_snapshot(
+            self.catalog, self._snapshot
+        )
+        for feature in snapshot.shared_features():
             if not self._matches(query, feature):
                 continue
             total += 1

@@ -181,6 +181,31 @@ class TestBooleanBaseline:
         with pytest.raises(ValueError):
             BooleanSearchEngine(catalog).search(Query(), limit=0)
 
+    def test_one_snapshot_per_catalog_version(self, catalog, monkeypatch):
+        taken = {"n": 0}
+        original = catalog.snapshot
+
+        def counted(*args, **kwargs):
+            taken["n"] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(catalog, "snapshot", counted)
+        baseline = BooleanSearchEngine(catalog)
+        wide = Query(location=GeoPoint(45.5, -124.4), radius_km=1000.0)
+        first = baseline.search(wide, limit=2)
+        again = baseline.search(wide, limit=2)
+        assert taken["n"] == 1
+        assert [h.dataset_id for h in again] == [
+            h.dataset_id for h in first
+        ]
+        assert again.total_matches == first.total_matches == 4
+        catalog.upsert(feature("new", 45.5, -124.4, 0, 1000,
+                               [("salinity", 0, 5)]))
+        after = baseline.search(wide, limit=10)
+        assert taken["n"] == 2
+        assert after.total_matches == 5
+        assert "new" in [h.dataset_id for h in after]
+
 
 class TestResultsMetadataPreservation:
     """Regression: slicing/copying a page used to silently drop
