@@ -16,10 +16,17 @@ exposes the same buffers to numpy without copying.
 
 1. :meth:`ColumnarScorer.approximate_totals` — one numpy array pass over
    the columns (location kernels, interval gap, decay shapes, variable
-   terms reduced per CSR segment).  numpy's transcendentals are not
-   guaranteed to match libm bit for bit, so these totals only *select*
-   rows: every approximate total lies within :data:`APPROX_TOLERANCE`
-   of the exact one.
+   terms reduced per CSR segment).  It reads query-independent columns
+   derived once per view (:class:`ColumnArrays`): the trigonometry of
+   the box edges, so the point location kernel runs no full-length
+   sine or cosine, and an inverted name index, so a variable term
+   visits only the entries whose name it matches.  numpy's
+   transcendentals are not guaranteed to match libm bit for bit, and
+   the location kernel takes its sines by the angle-difference
+   identity, so these totals only *select* rows: every approximate
+   total lies within :data:`APPROX_TOLERANCE` of the exact one.  The
+   rows it proves bit-exact (see :meth:`ColumnarScorer.approximate_totals`)
+   are counted without a rescore.
 2. :meth:`ColumnarScorer.score_row_bounded` — the scalar kernels,
    reproducing :meth:`~repro.core.scoring.QueryScorer.score_bounded`
    **bit-identically**, rescore just the selected rows:
@@ -39,7 +46,9 @@ exposes the same buffers to numpy without copying.
 ``tests/test_search_columnar.py`` pins columnar == object on ids,
 scores, ordering and full breakdowns under Hypothesis;
 ``tests/test_search_vectorised.py`` bounds the stage-1 error and pins
-the selection, ``total_matches`` and the column layout.
+the selection, ``total_matches`` and the column layout;
+``tests/test_columnar_kernels.py`` holds the location kernel to the
+scalar one over the whole globe and pins the derived columns.
 """
 
 from __future__ import annotations
@@ -58,21 +67,51 @@ from ..obs import get_telemetry
 from .scoring import (
     QueryScorer,
     ScoreBreakdown,
+    ScoringConfig,
     decay,
     name_similarity,
     range_similarity_values,
 )
 
 
-#: Bound on ``|approximate - exact|`` for one row's total.  The array
-#: pass runs the scalar kernels' operations in the same order, so the
-#: only divergence is numpy's transcendentals (sin, cos, atan, asin,
-#: exp) against libm's: a few ULP each, damped by decay slopes <= 1 and
-#: by the weighted mean, which keeps totals in [0, 1].  Over 200k
-#: random rows the largest observed gap was 2.2e-16 (one ULP of 1.0);
-#: the property test in ``tests/test_search_vectorised.py`` pins it
-#: below this bound, which leaves seven orders of magnitude spare.
+#: Bound on ``|approximate - exact|`` for one row's total.  Why the
+#: array pass stays inside it, term by term:
+#:
+#: * time and variable terms run the scalar kernels' operations in the
+#:   same order, so they differ only where numpy's ``exp`` rounds
+#:   differently from libm's (a few ULP);
+#: * the point location term is not the scalar's sequence of
+#:   operations (see :func:`box_distance_km_to_point_array`), but the
+#:   same haversine candidates from products of correctly rounded
+#:   sines and cosines: each ``sin((edge - q)/2)`` is off by a few
+#:   ULP of 1 (~1e-15), and ``sqrt(a)``, the length of the vector
+#:   ``(sin(dlat/2), sqrt(cos cos) sin(dlon/2))``, by as little.  So
+#:   the great-circle angle ``asin(sqrt(a))`` is off by ~1e-15 divided
+#:   by ``sqrt(1 - a)``: at most ~5e-11 rad, 6e-7 km, because rows
+#:   within :data:`ANTIPODAL_SLACK` of the antipode take the scalar
+#:   kernel.  The region term runs the scalar's operations and the same
+#:   antipode rule.  :data:`LOCATION_ERROR_KM` bounds both with headroom;
+#: * a decay shape's slope is at most ``1 / scale``, and the weighted
+#:   mean keeps totals in [0, 1].
+#:
+#: Over 200k random rows of the scalar-order pass the largest observed
+#: gap was 2.2e-16 (one ULP of 1.0); the property tests in
+#: ``tests/test_search_vectorised.py`` and
+#: ``tests/test_columnar_kernels.py`` (global boxes: poles, antipodes,
+#: interior meridian optima) pin both bounds.
 APPROX_TOLERANCE = 1e-9
+
+#: Bound on ``|array - scalar|`` of the point- and region-to-box
+#: distances, in km (observed: below 1e-7 km).  It is also the margin
+#: past the linear shape's cutoff beyond which a row's location term is
+#: proven exactly 0 (see :func:`_zero_beyond_cutoff`).
+LOCATION_ERROR_KM = 1e-5
+
+#: Rows whose haversine term ``a`` lies within this of 1 (within ~0.4
+#: km of the antipode) are measured by the scalar kernels: there
+#: ``asin(sqrt(a))`` turns a rounding error of 1e-16 in ``a`` into up
+#: to ~2e-4 km.
+ANTIPODAL_SLACK = 1e-9
 
 #: Name-similarity rows memoised per snapshot (see
 #: :meth:`ColumnarSnapshot.name_similarities`); the memo is dropped
@@ -93,29 +132,83 @@ COLUMN_DTYPES = (
 )
 
 
+#: The query-independent columns :class:`ColumnArrays` derives once per
+#: view (all float64, one entry per row): the half-angle sine and cosine
+#: of every box edge, and the cosine and tangent of both latitude bounds.
+#: ``sin_half_min_lat`` is ``sin(radians(min_lat) / 2)``, and so on.
+DERIVED_COLUMNS = tuple(
+    f"{fn}_half_{edge}"
+    for edge in ("min_lat", "min_lon", "max_lat", "max_lon")
+    for fn in ("sin", "cos")
+) + ("cos_min_lat", "cos_max_lat", "tan_min_lat", "tan_max_lat")
+
+
+def _read_only(column: np.ndarray) -> np.ndarray:
+    column.flags.writeable = False
+    return column
+
+
 class ColumnArrays:
     """Read-only numpy views over a snapshot's ``array`` columns.
 
     ``np.frombuffer`` shares the ``array`` buffers, so nothing is held
     twice; the views are marked read-only because the snapshot is
     frozen.  (An exported buffer also pins the ``array`` against
-    resizing, which a frozen column never needs.)  ``var_rows`` is the
-    one derived column: the row of each per-variable entry, expanded
-    once from ``var_offsets``.
+    resizing, which a frozen column never needs.)
+
+    Derived once per view, so no query pays for them:
+
+    * ``var_rows`` — the row of each per-variable entry, expanded from
+      ``var_offsets``;
+    * the :data:`DERIVED_COLUMNS` — the trigonometry of the box edges,
+      from which a query's location kernel takes every per-row sine
+      and cosine it needs by the angle-difference identity;
+    * an inverted index over ``var_name_ids``: ``name_entries`` lists
+      the per-variable entries grouped by interned name (ascending
+      within a name), and name ``k``'s entries are
+      ``name_entries[name_offsets[k]:name_offsets[k + 1]]``.
     """
 
-    __slots__ = tuple(name for name, __ in COLUMN_DTYPES) + ("var_rows",)
+    __slots__ = tuple(name for name, __ in COLUMN_DTYPES) + (
+        "var_rows", "name_entries", "name_offsets",
+    ) + DERIVED_COLUMNS
 
     def __init__(self, view: "ColumnarSnapshot") -> None:
         for name, dtype in COLUMN_DTYPES:
             column = np.frombuffer(getattr(view, name), dtype=dtype)
-            column.flags.writeable = False
-            setattr(self, name, column)
+            setattr(self, name, _read_only(column))
         offsets = self.var_offsets
-        self.var_rows = np.repeat(
+        self.var_rows = _read_only(np.repeat(
             np.arange(len(offsets) - 1, dtype=np.int64), np.diff(offsets)
+        ))
+        for edge in ("min_lat", "min_lon", "max_lat", "max_lon"):
+            half = np.radians(getattr(self, edge)) / 2.0
+            setattr(self, f"sin_half_{edge}", _read_only(np.sin(half)))
+            setattr(self, f"cos_half_{edge}", _read_only(np.cos(half)))
+        for edge in ("min_lat", "max_lat"):
+            angle = np.radians(getattr(self, edge))
+            setattr(self, f"cos_{edge}", _read_only(np.cos(angle)))
+            setattr(self, f"tan_{edge}", _read_only(np.tan(angle)))
+        name_ids = self.var_name_ids
+        self.name_entries = _read_only(
+            np.argsort(name_ids, kind="stable").astype(np.int64, copy=False)
         )
-        self.var_rows.flags.writeable = False
+        counts = np.bincount(name_ids, minlength=len(view.names))
+        name_offsets = np.zeros(len(counts) + 1, dtype=np.int64)
+        np.cumsum(counts, out=name_offsets[1:])
+        self.name_offsets = _read_only(name_offsets)
+
+    def entries_named(self, name_ids: np.ndarray) -> np.ndarray:
+        """The per-variable entries whose name is one of ``name_ids``,
+        in ascending (row) order."""
+        offsets = self.name_offsets
+        entries = self.name_entries
+        if len(name_ids) == 1:
+            k = int(name_ids[0])
+            return entries[offsets[k]:offsets[k + 1]]
+        return np.sort(np.concatenate(
+            [entries[offsets[k]:offsets[k + 1]] for k in name_ids.tolist()]
+        ))
 
 
 # -- stage 1: array twins of the scalar kernels --------------------------------
@@ -136,6 +229,21 @@ def _py_min(a, b):
     return np.where(b < a, b, a)
 
 
+def _zero_beyond_cutoff(exact, scaled, shape: str, margin: float):
+    """Narrow ``exact`` to the rows whose term is proven exactly 0.
+
+    Only the linear shape reaches 0: ``max(0, 1 - d)`` is 0 for every
+    ``d >= 1``.  A row whose array-pass scaled distance is above
+    ``1 + margin``, with ``margin`` covering the array kernel's error
+    in scaled units, is at or past the cutoff in the scalar kernel
+    too, so both score the term exactly 0.0.  Returns None (no row
+    bit-exact) for the other shapes, which never reach 0.
+    """
+    if exact is None or shape != "linear":
+        return None
+    return exact & (scaled > 1.0 + margin)
+
+
 def decay_array(distance_in_scales: np.ndarray, shape: str) -> np.ndarray:
     """Array twin of :func:`~repro.core.scoring.decay`."""
     if shape == "exponential":
@@ -147,51 +255,116 @@ def decay_array(distance_in_scales: np.ndarray, shape: str) -> np.ndarray:
     raise ValueError(f"unknown decay shape {shape!r}")
 
 
+def _half_sin_sq(cols: ColumnArrays, edge: str, span: slice, sin_q, cos_q):
+    """``sin((edge - q) / 2) ** 2`` per row, by the angle-difference
+    identity over the edge's derived half-angle columns."""
+    s = (
+        getattr(cols, f"sin_half_{edge}")[span] * cos_q
+        - getattr(cols, f"cos_half_{edge}")[span] * sin_q
+    )
+    return s * s
+
+
 def box_distance_km_to_point_array(
-    min_lat, min_lon, max_lat, max_lon, lat: float, lon: float
+    cols: ColumnArrays, start: int, stop: int, lat: float, lon: float
 ) -> np.ndarray:
-    """Array twin of :func:`~repro.geo.bbox.box_distance_km_to_point`.
+    """Array twin of :func:`~repro.geo.bbox.box_distance_km_to_point`
+    over the rows ``[start, stop)``.
+
+    The same candidates as the scalar kernel — the clamped point, both
+    meridian edges' optimum and their four corners — with their
+    haversine terms ``sin**2(dlat/2) + cos(lat1) cos(lat2) sin**2(dlon/2)``
+    built from the view's derived columns instead of per-row
+    transcendentals:
+
+    * each ``sin((edge - q) / 2)`` is ``sin(e/2) cos(q/2) - cos(e/2)
+      sin(q/2)``; the clamped point's coordinates are the query's own
+      or an edge's, so its term reuses the edge terms;
+    * ``cos(lon - edge)`` is ``1 - 2 sin**2((lon - edge) / 2)``.  It
+      only decides, against the ``tan`` columns, which rows' meridian
+      optimum ``atan(tan(q) / cos(dlon))`` lies strictly inside the
+      box's latitude band.  Elsewhere the clamped optimum is a corner,
+      already a candidate; a row misjudged at the band's edge loses
+      nothing, since the optimum is a stationary point.  Only the rows
+      inside (and those with ``cos(dlon)`` near 0, where the scalar
+      kernel falls back to the equator) run the scalar kernel's
+      formula, ``arctan`` and all.
 
     The scalar kernel skips the edge candidates when the clamped point
     is already at distance 0; here they are always evaluated, which
     cannot change the minimum (every candidate term is >= 0).
     """
-    radians = np.radians
-    sin = np.sin
-    cos = np.cos
-    near_lat = np.minimum(np.maximum(lat, min_lat), max_lat)
-    near_lon = np.minimum(np.maximum(lon, min_lon), max_lon)
+    span = slice(start, stop)
+    min_lat, max_lat = cols.min_lat[span], cols.max_lat[span]
+    min_lon, max_lon = cols.min_lon[span], cols.max_lon[span]
     phi1 = math.radians(lat)
     cos_phi1 = math.cos(phi1)
-    best_a = (
-        sin(radians(near_lat - lat) / 2.0) ** 2
-        + cos_phi1 * cos(radians(near_lat))
-        * sin(radians(near_lon - lon) / 2.0) ** 2
-    )
-    t_min = sin(radians(min_lat - lat) / 2.0) ** 2
-    cc_min = cos_phi1 * cos(radians(min_lat))
-    t_max = sin(radians(max_lat - lat) / 2.0) ** 2
-    cc_max = cos_phi1 * cos(radians(max_lat))
     tan_phi1 = math.tan(phi1)
-    for edge_lon in (min_lon, max_lon):
-        cos_dlon = cos(radians(lon - edge_lon))
+    sin_q, cos_q = math.sin(phi1 / 2.0), math.cos(phi1 / 2.0)
+    t_min = _half_sin_sq(cols, "min_lat", span, sin_q, cos_q)
+    t_max = _half_sin_sq(cols, "max_lat", span, sin_q, cos_q)
+    cc_min = cos_phi1 * cols.cos_min_lat[span]
+    cc_max = cos_phi1 * cols.cos_max_lat[span]
+    half_lon = math.radians(lon) / 2.0
+    sin_q, cos_q = math.sin(half_lon), math.cos(half_lon)
+    edges = (
+        (min_lon, _half_sin_sq(cols, "min_lon", span, sin_q, cos_q)),
+        (max_lon, _half_sin_sq(cols, "max_lon", span, sin_q, cos_q)),
+    )
+    below, above = lat < min_lat, lat > max_lat
+    west, east = lon < min_lon, lon > max_lon
+    best_a = (
+        np.where(below, t_min, np.where(above, t_max, 0.0))
+        + np.where(below, cc_min, np.where(above, cc_max, cos_phi1 ** 2))
+        * np.where(west, edges[0][1], np.where(east, edges[1][1], 0.0))
+    )
+    tan_min, tan_max = cols.tan_min_lat[span], cols.tan_max_lat[span]
+    for edge_lon, sin_sq_dlambda in edges:
+        best_a = np.minimum(best_a, t_min + cc_min * sin_sq_dlambda)
+        best_a = np.minimum(best_a, t_max + cc_max * sin_sq_dlambda)
+        cos_dlon = 1.0 - 2.0 * sin_sq_dlambda
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = tan_phi1 / cos_dlon
+        inside = (ratio > tan_min) & (ratio < tan_max)
+        rows = np.flatnonzero(inside | (np.abs(cos_dlon) < 1e-11))
+        if len(rows) == 0:
+            continue
+        lo_lat, hi_lat = min_lat[rows], max_lat[rows]
+        cos_dlon = np.cos(np.radians(lon - edge_lon[rows]))
         with np.errstate(divide="ignore", invalid="ignore"):
             optimal = np.where(
                 np.abs(cos_dlon) > 1e-12,
                 np.degrees(np.arctan(tan_phi1 / cos_dlon)),
                 0.0,
             )
-        clamped = np.minimum(np.maximum(optimal, min_lat), max_lat)
-        sin_sq_dlambda = sin(radians(edge_lon - lon) / 2.0) ** 2
-        best_a = np.minimum(
-            best_a,
-            sin(radians(clamped - lat) / 2.0) ** 2
-            + cos_phi1 * cos(radians(clamped)) * sin_sq_dlambda,
+        clamped = np.minimum(np.maximum(optimal, lo_lat), hi_lat)
+        best_a[rows] = np.minimum(
+            best_a[rows],
+            np.sin(np.radians(clamped - lat) / 2.0) ** 2
+            + cos_phi1 * np.cos(np.radians(clamped)) * sin_sq_dlambda[rows],
         )
-        best_a = np.minimum(best_a, t_min + cc_min * sin_sq_dlambda)
-        best_a = np.minimum(best_a, t_max + cc_max * sin_sq_dlambda)
-    best_a = np.minimum(1.0, np.maximum(0.0, best_a))
-    return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(best_a))
+    return _great_circle_km(
+        best_a,
+        lambda row: box_distance_km_to_point(
+            float(min_lat[row]), float(min_lon[row]),
+            float(max_lat[row]), float(max_lon[row]), lat, lon,
+        ),
+    )
+
+
+def _great_circle_km(a: np.ndarray, scalar_km) -> np.ndarray:
+    """``2 R asin(sqrt(a))`` per row of the haversine terms ``a``.
+
+    Near the antipode ``asin(sqrt(a))`` is ill-conditioned (see
+    :data:`ANTIPODAL_SLACK`); those rows, none on a regional catalog,
+    take their distance from the scalar kernel, ``scalar_km(row)``.
+    """
+    antipodal = np.flatnonzero(a > 1.0 - ANTIPODAL_SLACK).tolist()
+    a = np.minimum(1.0, np.maximum(0.0, a))
+    distance_km = 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(a))
+    for row in antipodal:
+        distance_km[row] = scalar_km(row)
+    return distance_km
 
 
 def box_distance_km_to_box_array(
@@ -214,8 +387,14 @@ def box_distance_km_to_box_array(
         + np.cos(np.radians(lat1)) * np.cos(np.radians(lat2))
         * np.sin(np.radians(lon2 - lon1) / 2.0) ** 2
     )
-    a = np.minimum(1.0, np.maximum(0.0, a))
-    distance = 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(a))
+    distance = _great_circle_km(
+        a,
+        lambda row: box_distance_km_to_box(
+            float(min_lat[row]), float(min_lon[row]),
+            float(max_lat[row]), float(max_lon[row]),
+            region.min_lat, region.min_lon, region.max_lat, region.max_lon,
+        ),
+    )
     return np.where(apart, distance, 0.0)
 
 
@@ -291,6 +470,37 @@ def _append_variables(
         var_maxs.append(entry.maximum)
         added += 1
     return added
+
+
+def _name_sims_row(key: tuple, row: list, names: list) -> tuple:
+    """A name-similarity memo entry for ``key``: ``row`` (the
+    similarities of a prefix of ``names``, left untouched) extended
+    over the rest of ``names``, as a list and a read-only array."""
+    term_name, expansion, threshold = key
+    config = ScoringConfig(name_partial_threshold=threshold)
+    full = row + [
+        name_similarity(term_name, name, expansion, config)
+        for name in names[len(row):]
+    ]
+    return full, _read_only(np.array(full, dtype=np.float64))
+
+
+def _carry_name_sims(memo: dict, names: list, kept: int) -> dict:
+    """A spliced view's name-similarity memo, from its base's ``memo``.
+
+    A splice only appends to the interned name table, and the first
+    ``kept`` names are the base's, in order; so every memoised row
+    stays valid for them and only the appended names are scored.  The
+    base's rows are shared or extended into new lists, never mutated:
+    in-flight queries over the base may still read them.
+    """
+    memo = memo.copy()  # one atomic read; the base's memo may change
+    if len(names) == kept:
+        return memo
+    return {
+        key: _name_sims_row(key, row, names)
+        for key, (row, __) in memo.items()
+    }
 
 
 class ColumnarSnapshot:
@@ -396,6 +606,11 @@ class ColumnarSnapshot:
         term-sim table by name), never per id, so every row scores
         bit-identically.  ``tests/test_search_columnar.py`` pins this.
 
+        The base's name-similarity memo is carried over: only the
+        appended names are scored (see :func:`_carry_name_sims`), so
+        the first query naming a term after a refresh skips the
+        Levenshtein pass over the whole name table.
+
         Raises ``KeyError`` when ``previous`` does not contain a row the
         delta claims is unchanged — the caller treats that as an
         inconsistent base and falls back to a cold freeze.
@@ -497,7 +712,9 @@ class ColumnarSnapshot:
             view.var_maxs = var_maxs
             view.names = names
             view._arrays = None
-            view._name_sims = {}
+            view._name_sims = _carry_name_sims(
+                previous._name_sims, names, len(previous.names)
+            )
         if telemetry.enabled:
             telemetry.count("columnar.refreezes")
             telemetry.count("columnar.rows_refrozen", len(changed))
@@ -535,11 +752,7 @@ class ColumnarSnapshot:
         memo = self._name_sims
         sims = memo.get(key)
         if sims is None:
-            row = [
-                name_similarity(term_name, name, expansion, config)
-                for name in self.names
-            ]
-            sims = (row, np.array(row, dtype=np.float64))
+            sims = _name_sims_row(key, [], self.names)
             if len(memo) >= NAME_SIMS_MEMO_SIZE:
                 memo.clear()
             memo[key] = sims
@@ -585,9 +798,12 @@ class ColumnarScorer:
         lies within :data:`APPROX_TOLERANCE` of what
         :meth:`score_row_bounded` returns unbounded.  The second array
         marks the rows whose value is *bit-identical* to it (None when
-        no row's is): without a location or time term, a row whose
-        variable entries never went through the range decay ran only
-        correctly rounded arithmetic, in the scalar kernels' order.
+        no row's can be): a row whose variable entries never went
+        through the range decay ran only correctly rounded arithmetic,
+        in the scalar kernels' order, and its location and time terms,
+        if the query has them, must be proven exactly 0 — which only
+        the linear shape reaches, past its cutoff.  So a linear-decay
+        query counts its far rows as exact zeros without a rescore.
         """
         if isinstance(rows, range) and rows.step == 1:
             return self._span_totals(rows.start, rows.stop)
@@ -611,25 +827,27 @@ class ColumnarScorer:
         n = max(0, stop - start)
         if scorer._total_weight <= 0:
             return np.ones(n), np.ones(n, dtype=bool)
-        exact = None
-        if not (scorer._use_location or scorer._use_time):
-            exact = np.ones(n, dtype=bool)
+        # A row stays bit-exact while each term is: a location or time
+        # term only where it is proven exactly 0, see _zero_beyond_cutoff.
+        exact = np.ones(n, dtype=bool)
         weighted_sum = np.zeros(n)
         if scorer._use_location:
-            box = (
-                cols.min_lat[start:stop], cols.min_lon[start:stop],
-                cols.max_lat[start:stop], cols.max_lon[start:stop],
-            )
             if query.location is not None:
                 distance_km = box_distance_km_to_point_array(
-                    *box, query.location.lat, query.location.lon
+                    cols, start, stop,
+                    query.location.lat, query.location.lon,
                 )
             else:
                 distance_km = box_distance_km_to_box_array(
-                    *box, query.region
+                    cols.min_lat[start:stop], cols.min_lon[start:stop],
+                    cols.max_lat[start:stop], cols.max_lon[start:stop],
+                    query.region,
                 )
-            weighted_sum += config.location_weight * decay_array(
-                distance_km / config.location_decay_km, shape
+            scaled = distance_km / config.location_decay_km
+            weighted_sum += config.location_weight * decay_array(scaled, shape)
+            exact = _zero_beyond_cutoff(
+                exact, scaled, shape,
+                LOCATION_ERROR_KM / config.location_decay_km,
             )
         if scorer._use_time:
             interval = query.interval
@@ -637,23 +855,27 @@ class ColumnarScorer:
                 cols.t_start[start:stop], cols.t_end[start:stop],
                 interval.start, interval.end,
             ) / SECONDS_PER_DAY
-            weighted_sum += config.time_weight * decay_array(
-                gap_days / config.time_decay_days, shape
-            )
+            scaled = gap_days / config.time_decay_days
+            weighted_sum += config.time_weight * decay_array(scaled, shape)
+            exact = _zero_beyond_cutoff(exact, scaled, shape, 0.0)
         if scorer._use_variables:
             lo = int(cols.var_offsets[start])
             hi = int(cols.var_offsets[stop])
-            name_ids = cols.var_name_ids[lo:hi]
             for index, term in enumerate(query.variables):
                 # Only entries whose name matches can score: an entry
                 # with a zero name similarity contributes exactly 0 (the
                 # scalar loop skips it), so a pass over the matching
                 # entries alone gives bit-identical totals and ``exact``.
-                name_sims = self._term_sim_arrays[index][name_ids]
-                hits = np.flatnonzero(name_sims)
+                # The inverted index lists them without a gather over
+                # every entry.
+                sims_by_name = self._term_sim_arrays[index]
+                matched = np.flatnonzero(sims_by_name)
                 best = np.zeros(n)
-                if len(hits):
-                    entries = hits + lo
+                entries = cols.entries_named(matched) if len(matched) else ()
+                if len(entries) and (lo > 0 or hi < len(cols.var_name_ids)):
+                    first, last = np.searchsorted(entries, (lo, hi))
+                    entries = entries[first:last]
+                if len(entries):
                     range_sims, decayed = range_similarity_array(
                         term,
                         cols.var_counts[entries],
@@ -661,7 +883,8 @@ class ColumnarScorer:
                         cols.var_maxs[entries],
                         config,
                     )
-                    sims = name_sims[hits] * range_sims
+                    name_sims = sims_by_name[cols.var_name_ids[entries]]
+                    sims = name_sims * range_sims
                     # The scalar loop keeps its best only on
                     # ``sim > best``, so a NaN similarity never wins.
                     sims[np.isnan(sims)] = 0.0

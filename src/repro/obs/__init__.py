@@ -18,7 +18,7 @@ from .expo import (
     render_prometheus,
     sample_value,
 )
-from .flightrec import FlightRecord, FlightRecorder, spans_for_request
+from .flightrec import FlightRecord, FlightRecorder
 from .sink import (
     EVENT_TYPES,
     AccessLogWriter,
@@ -71,7 +71,6 @@ __all__ = [
     "sample_value",
     "set_request",
     "set_telemetry",
-    "spans_for_request",
     "trace_events",
     "use_request",
     "use_telemetry",

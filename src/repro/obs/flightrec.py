@@ -5,25 +5,26 @@ say which query moved it.  :class:`FlightRecorder` keeps the receipts:
 a bounded ring of the **N slowest** requests plus **every erroring**
 request (up to its own bound), each captured as a
 :class:`FlightRecord` — request id, query text, status, latency,
-result stats and the request's *full span tree* pulled out of the
-shared telemetry by ``request_id`` stamp.
+result stats and the request's *full span tree*, which the request's
+own :class:`~repro.obs.telemetry.RequestContext` kept as its spans
+ended.
 
 The capture protocol is two-phase so the request path stays cheap:
 
 1. the HTTP handler asks :meth:`FlightRecorder.interested` with just
    the latency and error flag — an O(1) check against the current
    slowest-heap floor,
-2. only when interested does the caller pay to filter the shared span
-   list for this request's spans and build the record.
+2. only when interested does the caller pay to copy the request's
+   spans (O(request), never a walk of the shared span list) and build
+   the record.
 
 Retention is explicitly bounded twice over: the recorder holds at most
 ``slow_capacity`` slow records and ``error_capacity`` error records
 (oldest errors roll off; slow records are evicted by a faster
-request), and the spans inside a record were copied at capture time —
-so the telemetry registry's own ``max_spans`` cap can drop or recycle
-spans later without hollowing out the recorder.  The flip side: a
-request served *after* the registry hit its span cap may capture an
-empty span list; the record still keeps id, query and latency.
+request), and the spans inside a record were copied at capture time.
+Because a request keeps its own span records, the telemetry registry's
+``max_spans`` cap neither hollows out a kept record nor empties the
+capture of a request served after the cap was hit.
 
 Thread-safe; imports nothing from the rest of the package.
 """
@@ -154,17 +155,3 @@ class FlightRecorder:
                 fh.close()
         return len(snapshot["slowest"]) + len(snapshot["errors"])
 
-
-def spans_for_request(spans: list, request_id: str) -> list[dict]:
-    """Filter exported span dicts (or records) down to one request.
-
-    Accepts either :class:`~repro.obs.telemetry.SpanRecord` objects or
-    their ``to_dict`` form, returning dicts either way — the recorder
-    stores plain data only.
-    """
-    captured: list[dict] = []
-    for span in spans:
-        payload = span if isinstance(span, dict) else span.to_dict()
-        if payload.get("attrs", {}).get("request_id") == request_id:
-            captured.append(payload)
-    return captured

@@ -192,10 +192,17 @@ class RequestContext:
     knows the snapshot version) :meth:`annotate` or :meth:`tally` it,
     and the access log reads it all back at the end without any layer
     having to thread fields through its return types.
+
+    ``spans`` keeps the request's own span records, in completion
+    order, appended by the registry as each span on the request's
+    thread ends.  The flight recorder captures a slow request from
+    here, in O(request) and whatever the registry's ``max_spans`` cap
+    has dropped.
     """
 
     request_id: str
     attrs: dict = field(default_factory=dict)
+    spans: list = field(default_factory=list)
 
     def annotate(self, **attrs: Any) -> None:
         """Attach request-scoped facts (coerced to JSON-safe scalars)."""
@@ -392,6 +399,9 @@ class Telemetry:
         return stack[-1] if stack else None
 
     def _record_span(self, record: SpanRecord) -> None:
+        context = current_request()
+        if context is not None:
+            context.spans.append(record)
         with self._lock:
             if len(self._spans) >= self.max_spans:
                 self.dropped_spans += 1

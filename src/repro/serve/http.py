@@ -70,7 +70,6 @@ from ..obs import (
     RequestContext,
     SLOTracker,
     render_prometheus,
-    spans_for_request,
     use_request,
     use_telemetry,
 )
@@ -223,7 +222,7 @@ class _Handler(BaseHTTPRequestHandler):
         flight = server.flight
         if flight is not None and (error or route == "/search"):
             # Two-phase capture: the O(1) interest check first, the
-            # O(spans) extraction only for keepers.
+            # copy of the request's own spans only for keepers.
             if flight.interested(latency, error):
                 context = self._context
                 flight.record(
@@ -234,9 +233,7 @@ class _Handler(BaseHTTPRequestHandler):
                         latency_seconds=latency,
                         error=error,
                         attrs=dict(context.attrs),
-                        spans=spans_for_request(
-                            self._telemetry.spans(), context.request_id
-                        ),
+                        spans=[record.to_dict() for record in context.spans],
                     )
                 )
         if server.access_log is not None:

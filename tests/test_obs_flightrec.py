@@ -10,8 +10,8 @@ What obs/flightrec.py promises:
   (oldest rolls off);
 * snapshots are slowest-first, JSON-able, and self-contained (spans
   were copied at capture);
-* ``spans_for_request`` filters a mixed span list down to one request's
-  stamped spans.
+* a request context keeps exactly its own span records, whatever the
+  shared registry's ``max_spans`` cap has dropped.
 """
 
 from __future__ import annotations
@@ -23,8 +23,10 @@ import pytest
 from repro.obs import (
     FlightRecord,
     FlightRecorder,
+    RequestContext,
     Telemetry,
-    spans_for_request,
+    use_request,
+    use_telemetry,
 )
 
 
@@ -138,12 +140,10 @@ class TestSnapshotAndDump:
     def test_captured_spans_survive_registry_truncation(self):
         """Spans are copied at capture, not referenced."""
         telemetry = Telemetry()
-        from repro.obs import RequestContext, use_request, use_telemetry
-
-        with use_telemetry(telemetry), use_request(RequestContext("req-1")):
+        context = RequestContext("req-1")
+        with use_telemetry(telemetry), use_request(context):
             with telemetry.span("http.request"):
                 pass
-        spans = spans_for_request(telemetry.spans(), "req-1")
         recorder = FlightRecorder()
         recorder.record(
             FlightRecord(
@@ -151,34 +151,56 @@ class TestSnapshotAndDump:
                 query="q",
                 status=200,
                 latency_seconds=0.1,
-                spans=spans,
+                spans=[span.to_dict() for span in context.spans],
             )
         )
         telemetry.reset()
+        context.spans.clear()
         entry = recorder.snapshot()["slowest"][0]
         assert [s["name"] for s in entry["spans"]] == ["http.request"]
 
 
-class TestSpansForRequest:
-    def test_filters_by_request_id_stamp(self):
-        spans = [
-            {"name": "a", "attrs": {"request_id": "req-1"}},
-            {"name": "b", "attrs": {"request_id": "req-2"}},
-            {"name": "c", "attrs": {}},
-        ]
-        assert [
-            s["name"] for s in spans_for_request(spans, "req-1")
-        ] == ["a"]
-
-    def test_accepts_span_records_and_returns_dicts(self):
+class TestRequestSpans:
+    def test_context_keeps_only_its_own_spans(self):
         telemetry = Telemetry()
-        from repro.obs import RequestContext, use_request, use_telemetry
+        first, second = RequestContext("req-1"), RequestContext("req-2")
+        with use_telemetry(telemetry):
+            with telemetry.span("outside"):
+                pass
+            with use_request(first):
+                with telemetry.span("outer"):
+                    with telemetry.span("inner"):
+                        pass
+                    telemetry.event("quarantined")
+            with use_request(second), telemetry.span("other"):
+                pass
+        # Completion order, each stamped with its request's id.
+        assert [s.name for s in first.spans] == [
+            "inner", "quarantined", "outer",
+        ]
+        assert [s.name for s in second.spans] == ["other"]
+        assert all(
+            s.attrs["request_id"] == "req-1" for s in first.spans
+        )
+        assert len(telemetry.spans()) == 5
 
-        with use_telemetry(telemetry), use_request(RequestContext("req-9")):
-            with telemetry.span("outer"):
+    def test_context_keeps_its_spans_past_the_registry_cap(self):
+        telemetry = Telemetry(max_spans=2)
+        context = RequestContext("req-9")
+        with use_telemetry(telemetry):
+            for name in ("a", "b"):
+                with telemetry.span(name):
+                    pass
+            with use_request(context), telemetry.span("late"):
                 with telemetry.span("inner"):
                     pass
-        captured = spans_for_request(telemetry.spans(), "req-9")
-        assert all(isinstance(s, dict) for s in captured)
-        assert {s["name"] for s in captured} == {"outer", "inner"}
-        assert spans_for_request(telemetry.spans(), "req-none") == []
+        assert telemetry.dropped_spans == 2
+        assert [s.name for s in context.spans] == ["inner", "late"]
+
+    def test_disabled_telemetry_keeps_no_spans(self):
+        telemetry = Telemetry(enabled=False)
+        context = RequestContext("req-0")
+        with use_telemetry(telemetry), use_request(context):
+            with telemetry.span("http.request"):
+                telemetry.event("tick")
+        assert context.spans == []

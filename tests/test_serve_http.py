@@ -37,6 +37,7 @@ from repro.core.query import Query, VariableTerm
 from repro.geo import BoundingBox, TimeInterval
 from repro.obs import (
     AccessLogWriter,
+    FlightRecorder,
     SLOConfig,
     SLOTracker,
     Telemetry,
@@ -515,6 +516,34 @@ class TestDebugSlowRoute:
         span_names = {span["name"] for span in entry["spans"]}
         assert "http.request" in span_names
         assert "serve.request" in span_names
+
+    def test_records_keep_their_spans_past_the_registry_cap(self, catalog):
+        """Requests served after the shared registry stopped keeping
+        spans still capture their own span trees."""
+        telemetry = Telemetry(max_spans=60)
+        service = SearchService(catalog, telemetry=telemetry)
+        flight = FlightRecorder(slow_capacity=64)
+        server = SearchHTTPServer(service, port=0, flight=flight).start()
+        try:
+            requests = 0
+            while telemetry.dropped_spans == 0 or requests < 20:
+                assert requests < 60, "the registry never hit its cap"
+                target = f"/search?q=with+salinity&limit={requests + 1}"
+                assert get(server, target)[0] == 200
+                requests += 1
+            wait_until(lambda: flight.captured >= requests)
+        finally:
+            server.close(timeout=5.0)
+        assert len(telemetry.spans()) == 60
+        records = flight.snapshot()["slowest"]
+        assert len(records) == requests
+        for record in records:
+            names = [span["name"] for span in record["spans"]]
+            assert "http.request" in names and "serve.request" in names
+            assert all(
+                span["attrs"]["request_id"] == record["request_id"]
+                for span in record["spans"]
+            )
 
     def test_scrapes_themselves_stay_out_of_the_ring(self, server):
         for _ in range(3):
