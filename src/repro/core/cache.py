@@ -72,13 +72,9 @@ class QueryCache:
     def items(self) -> list[tuple[Hashable, Any]]:
         """A point-in-time copy of ``(key, value)`` pairs, LRU-first.
 
-        The cache-migration primitive: on a snapshot refresh the engine
-        scans entries *outside* the lock (scoring each entry's query
-        against the publish delta is too slow to hold it) and re-inserts
-        provably-unaffected entries under new version keys via
-        :meth:`put`.  The copy means a concurrent eviction or insert is
-        never observed half-way; at worst a migrated entry was just
-        evicted, which only costs a future miss.
+        Taken under the lock, so a concurrent eviction or insert is
+        never observed half-way; the caller may inspect the copy
+        without holding it.
         """
         with self._lock:
             return list(self._entries.items())

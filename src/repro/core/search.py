@@ -325,6 +325,11 @@ class SearchEngine:
         self._hierarchy = hierarchy
         self._hierarchy_key = hierarchy_digest(hierarchy)
 
+    @property
+    def hierarchy_key(self) -> str | None:
+        """The cache keys' name for the hierarchy (its content digest)."""
+        return self._hierarchy_key
+
     def build_indexes(self, cell_degrees: float = 0.5) -> CatalogIndexes:
         """Build (and attach) fresh indexes over the current catalog.
 
@@ -357,85 +362,6 @@ class SearchEngine:
             self.config,
             self._hierarchy_key,
         )
-
-    def migrate_cache_from(
-        self,
-        previous: "SearchEngine",
-        touched: Sequence[tuple[DatasetFeature | None, DatasetFeature | None]],
-    ) -> int:
-        """Carry provably-unaffected cache entries across a refresh.
-
-        ``touched`` holds ``(old_state, new_state)`` per dataset the
-        publish delta touched (``None`` for absent sides: a fresh
-        insert has no old state, a removal no new one).  An entry
-        cached at the previous catalog version may be re-keyed to the
-        new version iff its query is non-empty and **every** touched
-        state — old and new — scores exactly ``0.0`` for it.
-
-        Why that is exact: unchanged datasets keep their scores (their
-        feature objects are structurally shared between the snapshots),
-        and a dataset whose total is 0.0 for a non-empty query (a) is
-        never placed on the page (``_search`` skips zero totals), and
-        (b) is never counted in ``total_matches`` (which counts the
-        datasets scoring above zero).  So the
-        page membership, order, breakdowns and match count the old
-        version computed are all still what the new version would
-        compute.  Any positive score on either side conservatively
-        invalidates — the dataset might enter or leave the page.
-        Empty queries match everything, so any edit shifts them.
-
-        Returns the number of entries carried.  Scoring runs outside
-        the cache lock (see :meth:`QueryCache.items`).
-        """
-        cache = self.cache
-        if cache is None or previous.cache is not cache:
-            return 0
-        if (
-            self._hierarchy_key != previous._hierarchy_key
-            or self.config != previous.config
-        ):
-            return 0
-        old_version = previous.catalog.version
-        new_version = self.catalog.version
-        if new_version == old_version:
-            return 0
-        states = [
-            feature
-            for pair in touched
-            for feature in pair
-            if feature is not None
-        ]
-        key_of_hierarchy = self._hierarchy_key
-        carried = 0
-        scorers: dict[Query, QueryScorer] = {}
-        for key, value in cache.items():
-            if not isinstance(key, tuple) or len(key) != 5:
-                continue
-            version, query, limit, config, key_hierarchy = key
-            if (
-                version != old_version
-                or key_hierarchy != key_of_hierarchy
-                or config != self.config
-            ):
-                continue
-            if query.is_empty:
-                continue
-            scorer = scorers.get(query)
-            if scorer is None:
-                scorer = QueryScorer(
-                    query, hierarchy=self.hierarchy, config=self.config
-                )
-                scorers[query] = scorer
-            if any(
-                scorer.score(feature).total != 0.0 for feature in states
-            ):
-                continue
-            cache.put(
-                (new_version, query, limit, config, key_of_hierarchy),
-                value,
-            )
-            carried += 1
-        return carried
 
     def search(self, query: Query, limit: int = 10) -> SearchResults:
         """Top-``limit`` datasets by similarity to ``query``.

@@ -91,13 +91,18 @@ def facet_from_json(config: dict[str, Any]) -> Facet:
     Raises:
         FacetConfigError: for unknown facet types or missing fields.
     """
+    if not isinstance(config, dict):
+        raise FacetConfigError(f"facet must be an object: {config!r}")
     facet_type = config.get("type", "list")
     column = config.get("columnName") or config.get("name")
-    if not column:
+    if not column or not isinstance(column, str):
         raise FacetConfigError(f"facet without a column: {config!r}")
     if facet_type == "list":
+        items = config.get("selection", [])
+        if not isinstance(items, list):
+            raise FacetConfigError(f"facet selection not a list: {config!r}")
         selection = []
-        for item in config.get("selection", []):
+        for item in items:
             v = item.get("v", item) if isinstance(item, dict) else item
             selection.append(v.get("v") if isinstance(v, dict) else v)
         return ListFacet(
@@ -106,10 +111,13 @@ def facet_from_json(config: dict[str, Any]) -> Facet:
             invert=bool(config.get("invert", False)),
         )
     if facet_type == "text":
+        mode = config.get("mode", "text")
+        if not isinstance(mode, str):
+            raise FacetConfigError(f"text facet mode not a string: {config!r}")
         return TextFacet(
             column=column,
             query=str(config.get("query", "")),
-            mode=config.get("mode", "text"),
+            mode=mode,
             case_sensitive=bool(config.get("caseSensitive", False)),
         )
     raise FacetConfigError(f"unknown facet type {facet_type!r}")
@@ -135,12 +143,21 @@ class EngineConfig:
 
     @classmethod
     def from_json(cls, config: dict[str, Any] | None) -> "EngineConfig":
-        """Parse an engineConfig dict (None means match-all)."""
+        """Parse an engineConfig dict (None means match-all).
+
+        Raises:
+            FacetConfigError: when the dict or one of its facets is
+                malformed.
+        """
         if not config:
             return cls()
+        if not isinstance(config, dict):
+            raise FacetConfigError(f"bad engineConfig {config!r}")
+        facets = config.get("facets", [])
+        mode = config.get("mode", "row-based")
+        if not isinstance(facets, list) or not isinstance(mode, str):
+            raise FacetConfigError(f"bad engineConfig {config!r}")
         return cls(
-            facets=tuple(
-                facet_from_json(f) for f in config.get("facets", [])
-            ),
-            mode=config.get("mode", "row-based"),
+            facets=tuple(facet_from_json(f) for f in facets),
+            mode=mode,
         )

@@ -52,8 +52,14 @@ class RuleSet:
         """Parse an operation-history array.
 
         Raises:
-            OperationError: on unknown or malformed operations.
+            OperationError: on unknown or malformed operations, or when
+                ``history`` is not a list.
         """
+        if not isinstance(history, list):
+            raise OperationError(
+                "operation history must be a list, "
+                f"got {type(history).__name__}"
+            )
         return cls(operations=[operation_from_json(op) for op in history])
 
     @classmethod
@@ -61,15 +67,17 @@ class RuleSet:
         """Parse JSON text (object or array; a single op dict is accepted).
 
         Raises:
-            OperationError: when the JSON is not an operation history.
+            OperationError: when the text is not JSON or not an operation
+                history.
         """
-        data = json.loads(text)
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise OperationError(
+                f"operation history is not JSON: {exc}"
+            ) from exc
         if isinstance(data, dict):
             data = [data]
-        if not isinstance(data, list):
-            raise OperationError(
-                f"operation history must be a list, got {type(data).__name__}"
-            )
         return cls.from_json(data)
 
     def rename_mapping(self) -> dict[str, str]:

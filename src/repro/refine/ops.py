@@ -14,7 +14,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Any
 
-from .facets import EngineConfig
+from .facets import EngineConfig, FacetConfigError
 from .grel import GrelExpression
 from .table import RefineTable
 
@@ -302,37 +302,74 @@ class FillDownOperation(Operation):
         }
 
 
+_REQUIRED = object()
+
+
+def _field(config: dict[str, Any], key: str, kind: type, default=_REQUIRED):
+    """``config[key]`` checked to be a ``kind`` (``default`` if absent).
+
+    Raises:
+        OperationError: when the field is missing or wrongly typed.
+    """
+    value = config.get(key, default)
+    if value is _REQUIRED:
+        raise OperationError(f"missing field {key!r}: {config!r}")
+    if not isinstance(value, kind):
+        raise OperationError(
+            f"field {key!r} must be {kind.__name__}: {config!r}"
+        )
+    return value
+
+
+def _engine_config(config: dict[str, Any]) -> EngineConfig:
+    try:
+        return EngineConfig.from_json(config.get("engineConfig"))
+    except FacetConfigError as exc:
+        raise OperationError(f"bad engineConfig: {exc}") from exc
+
+
+def _mass_edit_edit(edit: Any) -> MassEditEdit:
+    if not isinstance(edit, dict):
+        raise OperationError(f"mass-edit edit must be an object: {edit!r}")
+    from_values = _field(edit, "from", list, [])
+    if not all(isinstance(value, str) for value in from_values):
+        raise OperationError(f"mass-edit from values not strings: {edit!r}")
+    return MassEditEdit(
+        from_values=tuple(from_values),
+        to_value=_field(edit, "to", str, ""),
+        from_blank=_field(edit, "fromBlank", bool, False),
+        from_error=_field(edit, "fromError", bool, False),
+    )
+
+
 def operation_from_json(config: dict[str, Any]) -> Operation:
     """Parse one operation dict (including the poster's verbatim
     ``core/mass-edit`` example).
 
     Raises:
-        OperationError: for unknown ops or missing fields.
+        OperationError: for unknown ops, missing or wrongly typed fields.
     """
+    if not isinstance(config, dict):
+        raise OperationError(f"operation must be an object: {config!r}")
     op = config.get("op")
+    description = _field(config, "description", str, "")
     if op == "core/mass-edit":
-        column = config.get("columnName")
+        column = _field(config, "columnName", str, "")
         if not column:
             raise OperationError(f"mass-edit without columnName: {config!r}")
-        edits = [
-            MassEditEdit(
-                from_values=tuple(edit.get("from", ())),
-                to_value=edit.get("to", ""),
-                from_blank=bool(edit.get("fromBlank", False)),
-                from_error=bool(edit.get("fromError", False)),
-            )
-            for edit in config.get("edits", [])
-        ]
         return MassEditOperation(
             column=column,
-            edits=edits,
-            engine_config=EngineConfig.from_json(config.get("engineConfig")),
-            expression=config.get("expression", "value"),
-            description=config.get("description", ""),
+            edits=[
+                _mass_edit_edit(edit)
+                for edit in _field(config, "edits", list, [])
+            ],
+            engine_config=_engine_config(config),
+            expression=_field(config, "expression", str, "value"),
+            description=description,
         )
     if op == "core/text-transform":
-        column = config.get("columnName")
-        expression = config.get("expression")
+        column = _field(config, "columnName", str, "")
+        expression = _field(config, "expression", str, "")
         if not column or not expression:
             raise OperationError(
                 f"text-transform needs columnName+expression: {config!r}"
@@ -340,46 +377,46 @@ def operation_from_json(config: dict[str, Any]) -> Operation:
         return TextTransformOperation(
             column=column,
             expression=expression,
-            engine_config=EngineConfig.from_json(config.get("engineConfig")),
-            on_error=config.get("onError", "keep-original"),
-            repeat=bool(config.get("repeat", False)),
-            repeat_count=int(config.get("repeatCount", 10)),
-            description=config.get("description", ""),
+            engine_config=_engine_config(config),
+            on_error=_field(config, "onError", str, "keep-original"),
+            repeat=_field(config, "repeat", bool, False),
+            repeat_count=_field(config, "repeatCount", int, 10),
+            description=description,
         )
     if op == "core/column-rename":
         return ColumnRenameOperation(
-            old_name=config["oldColumnName"],
-            new_name=config["newColumnName"],
-            description=config.get("description", ""),
+            old_name=_field(config, "oldColumnName", str),
+            new_name=_field(config, "newColumnName", str),
+            description=description,
         )
     if op == "core/column-removal":
         return ColumnRemovalOperation(
-            column=config["columnName"],
-            description=config.get("description", ""),
+            column=_field(config, "columnName", str),
+            description=description,
         )
     if op == "core/column-addition":
-        expression = config.get("expression")
+        expression = _field(config, "expression", str, "")
         if not expression:
             raise OperationError(
                 f"column-addition needs an expression: {config!r}"
             )
         return ColumnAdditionOperation(
-            base_column=config["baseColumnName"],
-            new_column=config["newColumnName"],
+            base_column=_field(config, "baseColumnName", str),
+            new_column=_field(config, "newColumnName", str),
             expression=expression,
-            engine_config=EngineConfig.from_json(config.get("engineConfig")),
-            on_error=config.get("onError", "set-to-blank"),
-            description=config.get("description", ""),
+            engine_config=_engine_config(config),
+            on_error=_field(config, "onError", str, "set-to-blank"),
+            description=description,
         )
     if op == "core/fill-down":
         return FillDownOperation(
-            column=config["columnName"],
-            engine_config=EngineConfig.from_json(config.get("engineConfig")),
-            description=config.get("description", ""),
+            column=_field(config, "columnName", str),
+            engine_config=_engine_config(config),
+            description=description,
         )
     if op == "core/row-removal":
         return RowRemovalOperation(
-            engine_config=EngineConfig.from_json(config.get("engineConfig")),
-            description=config.get("description", ""),
+            engine_config=_engine_config(config),
+            description=description,
         )
     raise OperationError(f"unknown operation {op!r}")

@@ -143,7 +143,10 @@ def run_load(
     requests (:class:`OverloadedError`) are counted and retried after a
     short jittered backoff — they do not count as completions.  Pass
     ``live_version`` (e.g. ``lambda: store.version``) to track snapshot
-    staleness under a concurrent wrangler.
+    staleness under a concurrent wrangler: as in :func:`run_load_http`,
+    it is sampled *before* each request, and the served version may lag
+    that sample by at most 1 when the publisher refreshes after every
+    batch.
     """
     if clients < 1:
         raise ValueError("clients must be positive")
@@ -169,6 +172,9 @@ def run_load(
         served = 0
         while served < requests_per_client:
             query = rng.choices(queries, weights=weights, k=1)[0]
+            live_before = (
+                live_version() if live_version is not None else None
+            )
             attempt_started = time.monotonic()
             try:
                 response = service.search(query, limit=limit)
@@ -197,11 +203,11 @@ def run_load(
                     per_status.setdefault("error", []).append(elapsed)
                 served += 1
                 continue
-            staleness = 0
-            if live_version is not None:
-                staleness = max(
-                    0, live_version() - response.snapshot_version
-                )
+            staleness = (
+                max(0, live_before - response.snapshot_version)
+                if live_before is not None
+                else 0
+            )
             with lock:
                 counts["completed"] += 1
                 counts["staleness"] = max(counts["staleness"], staleness)

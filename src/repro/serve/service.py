@@ -35,7 +35,7 @@ from ..core.cache import QueryCache
 from ..core.errors import OverloadedError
 from ..core.query import Query
 from ..core.scoring import ScoringConfig
-from ..core.search import SearchEngine, SearchResults
+from ..core.search import SearchEngine, SearchResults, hierarchy_digest
 from ..hierarchy import ConceptHierarchy
 from ..obs import Telemetry, current_request, use_telemetry
 
@@ -61,10 +61,6 @@ class ServeConfig:
     #: the first post-swap requests for those queries hit a warm cache
     #: instead of paying a cold scan under their own latency budget.
     warm_queries: int = 4
-    #: Largest publish delta (touched datasets) for which a refresh
-    #: attempts query-cache migration; beyond it, scoring every cached
-    #: query against every touched state costs more than the re-misses.
-    migrate_max_delta: int = 64
 
     def __post_init__(self) -> None:
         if self.max_concurrency < 1:
@@ -75,8 +71,6 @@ class ServeConfig:
             raise ValueError("cache_size must be positive")
         if self.warm_queries < 0:
             raise ValueError("warm_queries must be non-negative")
-        if self.migrate_max_delta < 0:
-            raise ValueError("migrate_max_delta must be non-negative")
 
     @property
     def admission_capacity(self) -> int:
@@ -165,11 +159,13 @@ class SearchService:
           falls back to a full copy),
         * **columnar** — the copy-on-write snapshot refreezes
           incrementally from the previous view (splicing unchanged
-          rows; see ``ColumnarSnapshot.freeze_from``),
-        * **cache** — still-valid query-cache entries are re-keyed to
-          the new version (``SearchEngine.migrate_cache_from``), and
+          rows; see ``ColumnarSnapshot.freeze_from``), and
         * **warming** — the hottest recent queries are pre-executed on
           the new engine, so the swap exposes no cold-cache cliff.
+
+        No cache entry crosses versions: the cache is keyed by catalog
+        version, so every entry of the previous version simply stops
+        matching, and only the warmed queries are cached at the new one.
         """
         with use_telemetry(self.telemetry):
             with self.telemetry.span(
@@ -205,14 +201,6 @@ class SearchService:
                 # paying the one-time freeze under its own latency
                 # budget.
                 snapshot.columnar()
-                carried = 0
-                if (
-                    used_delta
-                    and delta.changed <= self.config.migrate_max_delta
-                ):
-                    carried = engine.migrate_cache_from(
-                        previous, self._touched_states(previous, snapshot, delta)
-                    )
                 warmed = self._warm(engine) if previous is not None else 0
                 if previous is not None:
                     telemetry = self.telemetry
@@ -221,37 +209,10 @@ class SearchService:
                         telemetry.count("refresh.delta_size", delta.changed)
                     else:
                         telemetry.count("refresh.full_rebuilds")
-                    if carried:
-                        telemetry.count(
-                            "refresh.cache_entries_carried", carried
-                        )
                     if warmed:
                         telemetry.count("refresh.warmed_queries", warmed)
         self.telemetry.gauge("serve.snapshot_version", snapshot.version)
         return engine
-
-    @staticmethod
-    def _touched_states(previous, snapshot, delta):
-        """(old_state, new_state) per dataset the delta touched."""
-        touched = []
-        old_catalog = previous.catalog
-        for dataset_id in delta.upserted:
-            old = (
-                old_catalog.get(dataset_id)
-                if old_catalog.contains(dataset_id) else None
-            )
-            new = (
-                snapshot.get(dataset_id)
-                if snapshot.contains(dataset_id) else None
-            )
-            touched.append((old, new))
-        for dataset_id in delta.removed:
-            old = (
-                old_catalog.get(dataset_id)
-                if old_catalog.contains(dataset_id) else None
-            )
-            touched.append((old, None))
-        return touched
 
     def _warm(self, engine: SearchEngine) -> int:
         """Pre-execute the hottest recent queries on the new engine.
@@ -304,22 +265,18 @@ class SearchService:
         live version (anything else — unstamped, full-copy, a racing
         foreign write — falls back to the full path, same results).
 
-        A replacement ``hierarchy`` is compared by *content*
-        (:meth:`~repro.hierarchy.tree.ConceptHierarchy.fingerprint`),
-        not identity: an equal-but-distinct object neither forces a
-        rebuild nor invalidates warm cache entries (the engine keeps
-        the old object, whose ``id`` the cache keys carry).
+        A replacement ``hierarchy`` is compared by the key the cache
+        uses (:func:`~repro.core.search.hierarchy_digest`), not by
+        identity: an equal-but-distinct object neither forces a rebuild
+        nor invalidates warm cache entries, and the old object is kept.
         """
         previous = self._engine
-        if hierarchy is not None and hierarchy is not self.hierarchy:
-            if (
-                self.hierarchy is not None
-                and hierarchy.fingerprint() == self.hierarchy.fingerprint()
-            ):
-                pass  # content-equal: keep the old object, caches live
-            else:
-                self.hierarchy = hierarchy
-        hierarchy_changed = self.hierarchy is not previous.hierarchy
+        hierarchy_changed = (
+            hierarchy is not None
+            and hierarchy_digest(hierarchy) != previous.hierarchy_key
+        )
+        if hierarchy_changed:
+            self.hierarchy = hierarchy
         if (
             self.source.version == previous.catalog.version
             and not hierarchy_changed

@@ -11,6 +11,7 @@ run-improve-rerun loop durable.
 from __future__ import annotations
 
 import json
+import re
 from typing import Any
 
 from ..refine.history import RuleSet
@@ -101,8 +102,6 @@ def load_process_config(
     Raises:
         ProcessConfigError: on wrong markers, versions or content.
     """
-    from ..archive.filesystem import VirtualArchive
-
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -115,50 +114,106 @@ def load_process_config(
         raise ProcessConfigError(
             f"unsupported config version {payload.get('version')!r}"
         )
+    try:
+        return _process_from_payload(payload, fs)
+    except ProcessConfigError:
+        raise
+    except (ValueError, re.error) as exc:
+        # Conflicting table rows, an unknown decision action, a bad
+        # exclusion regex or a malformed discovered rule.
+        raise ProcessConfigError(f"bad content: {exc}") from exc
+
+
+def _list(payload: dict[str, Any], key: str) -> list:
+    value = payload.get(key, [])
+    if not isinstance(value, list):
+        raise ProcessConfigError(f"{key} must be a list, got {value!r}")
+    return value
+
+
+def _string_rows(
+    payload: dict[str, Any], key: str, width: int, what: str
+) -> list[list[str]]:
+    """``payload[key]`` as rows of ``width`` strings."""
+    rows = _list(payload, key)
+    for row in rows:
+        if not (
+            isinstance(row, list)
+            and len(row) == width
+            and all(isinstance(cell, str) for cell in row)
+        ):
+            raise ProcessConfigError(f"bad {what} {row!r}")
+    return rows
+
+
+def _object(item: Any, what: str, required: str, **kinds) -> dict:
+    """``item`` as a dict holding ``required``, with every present key of
+    ``kinds`` of its type."""
+    if not (
+        isinstance(item, dict)
+        and required in item
+        and all(
+            isinstance(item[key], kind)
+            for key, kind in kinds.items()
+            if key in item
+        )
+    ):
+        raise ProcessConfigError(f"bad {what} {item!r}")
+    return item
+
+
+def _process_from_payload(
+    payload: dict[str, Any], fs
+) -> tuple[ProcessChain, WranglingState]:
+    from ..archive.filesystem import VirtualArchive
 
     synonyms = SynonymTable()
-    for row in payload.get("synonyms", []):
-        if not isinstance(row, list) or len(row) != 2:
-            raise ProcessConfigError(f"bad synonym row {row!r}")
-        spelling, preferred = row
+    for spelling, preferred in _string_rows(
+        payload, "synonyms", 2, "synonym row"
+    ):
         if spelling == preferred:
             synonyms.add(preferred)
         else:
             synonyms.add(preferred, spelling)
 
     abbreviations = AbbreviationTable()
-    for row in payload.get("abbreviations", []):
-        if not isinstance(row, list) or len(row) != 2:
-            raise ProcessConfigError(f"bad abbreviation row {row!r}")
-        abbreviations.add(row[0], row[1])
+    for abbreviation, canonical in _string_rows(
+        payload, "abbreviations", 2, "abbreviation row"
+    ):
+        abbreviations.add(abbreviation, canonical)
 
     context_rules = ContextRules(rules={})
-    for row in payload.get("context_rules", []):
-        if not isinstance(row, list) or len(row) != 3:
-            raise ProcessConfigError(f"bad context rule {row!r}")
-        context_rules.add(row[0], row[1], row[2])
+    for bare, context, canonical in _string_rows(
+        payload, "context_rules", 3, "context rule"
+    ):
+        context_rules.add(bare, context, canonical)
 
-    exclusion = ExclusionPolicy(
-        patterns=list(payload.get("exclusion_patterns", []))
-    )
+    patterns = _list(payload, "exclusion_patterns")
+    if not all(isinstance(pattern, str) for pattern in patterns):
+        raise ProcessConfigError(f"bad exclusion patterns {patterns!r}")
     resolver = TermResolver(
         synonyms=synonyms,
         abbreviations=abbreviations,
         context_rules=context_rules,
-        exclusion=exclusion,
+        exclusion=ExclusionPolicy(patterns=list(patterns)),
     )
 
-    decisions = [
-        AmbiguityDecision(
-            name=d["name"],
-            action=AmbiguityAction(d["action"]),
-            canonical=d.get("canonical"),
-            scope=d.get("scope", ""),
+    decisions = []
+    for item in _list(payload, "decisions"):
+        d = _object(
+            item, "decision", "name",
+            name=str, canonical=(str, type(None)), scope=str,
         )
-        for d in payload.get("decisions", [])
-    ]
+        decisions.append(
+            AmbiguityDecision(
+                name=d["name"],
+                action=AmbiguityAction(d.get("action")),
+                canonical=d.get("canonical"),
+                scope=d.get("scope", ""),
+            )
+        )
 
-    rules_json = payload.get("discovered_rules", [])
+    rules_json = _list(payload, "discovered_rules")
     discovered = RuleSet.from_json(rules_json) if rules_json else None
 
     state = WranglingState(
@@ -173,23 +228,27 @@ def load_process_config(
         not isinstance(scan_workers, int) or scan_workers < 1
     ):
         raise ProcessConfigError(f"bad scan_workers {scan_workers!r}")
-    scan = ScanArchive(
-        targets=[
+    targets = []
+    for item in _list(payload, "scan_targets"):
+        t = _object(
+            item, "scan target", "directory", directory=str, pattern=str
+        )
+        targets.append(
             ScanTarget(
                 directory=t["directory"],
                 pattern=t.get("pattern", "*"),
                 recursive=bool(t.get("recursive", True)),
             )
-            for t in payload.get("scan_targets", [])
-        ]
-        or [ScanTarget(directory="")],
+        )
+    scan = ScanArchive(
+        targets=targets or [ScanTarget(directory="")],
         workers=scan_workers,
     )
     chain = default_chain(scan=scan)
     # Honour the recorded component order where it names known
     # components; unknown names are a config error.
     known = {c.name for c in chain.components}
-    for name in payload.get("components", []):
-        if name not in known:
+    for name in _list(payload, "components"):
+        if not isinstance(name, str) or name not in known:
             raise ProcessConfigError(f"unknown component {name!r}")
     return chain, state

@@ -1,5 +1,6 @@
 """Unit tests for the command-line interface."""
 
+import json
 import os
 
 import pytest
@@ -189,6 +190,28 @@ class TestWrangleConfig:
             "--config", str(tmp_path / "missing.json"),
         ]) == 2
         assert "cannot load config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [
+        {"discovered_rules": [{"op": "core/mass-edit",
+                               "columnName": "c", "edits": 7}]},
+        {"decisions": [{"name": "temp", "action": "shrug"}]},
+        {"scan_targets": [{}]},
+    ])
+    def test_bad_config_content_errors(
+        self, archive_dir, tmp_path, capsys, content
+    ):
+        config = tmp_path / "process.json"
+        config.write_text(json.dumps(
+            {"format": "repro-process-config", "version": 1, **content}
+        ))
+        assert main([
+            "wrangle", archive_dir,
+            "--catalog", str(tmp_path / "c.db"),
+            "--config", str(config),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot load config: ")
+        assert err.count("\n") == 1
 
 
 class TestWrangleWorkers:

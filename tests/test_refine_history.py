@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.refine import (
     MassEditEdit,
@@ -85,3 +87,63 @@ class TestRenameMapping:
             [TextTransformOperation(column="f", expression="value")]
         )
         assert rules.rename_mapping() == {}
+
+
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=6), children, max_size=3),
+    max_leaves=10,
+)
+facet_dicts = st.dictionaries(
+    st.sampled_from(
+        ["type", "columnName", "name", "selection", "mode", "query"]
+    ),
+    st.sampled_from(["list", "text", "regex", "field"]) | json_values,
+    max_size=5,
+)
+engine_configs = st.fixed_dictionaries(
+    {"facets": st.lists(facet_dicts | json_values, max_size=2)},
+    optional={"mode": json_values},
+)
+op_dicts = st.dictionaries(
+    st.sampled_from([
+        "op", "columnName", "edits", "expression", "engineConfig",
+        "onError", "repeat", "repeatCount", "oldColumnName",
+        "newColumnName", "baseColumnName", "description",
+    ]),
+    st.sampled_from([
+        "core/mass-edit", "core/text-transform", "core/column-rename",
+        "core/column-removal", "core/column-addition", "core/fill-down",
+        "core/row-removal", "field",
+    ])
+    | engine_configs
+    | st.lists(
+        st.dictionaries(
+            st.sampled_from(["from", "to", "fromBlank", "fromError"]),
+            json_values,
+        )
+        | json_values,
+        max_size=2,
+    )
+    | json_values,
+    max_size=7,
+)
+
+
+@given(history=st.lists(op_dicts | json_values, max_size=3) | op_dicts)
+@settings(max_examples=300, deadline=None)
+def test_any_history_loads_or_raises_operation_error(history):
+    try:
+        RuleSet.loads(json.dumps(history))
+    except OperationError:
+        pass
+
+
+def test_history_that_is_not_json_raises_operation_error():
+    with pytest.raises(OperationError):
+        RuleSet.loads("[{")

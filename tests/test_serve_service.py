@@ -370,6 +370,34 @@ class TestTelemetryInvariant:
             assert payload["completed"] == 10
             assert "latency_p99" in payload
 
+    def test_staleness_is_measured_from_before_the_request(self, catalog):
+        """A publish landing while a request runs is not staleness:
+        the served version is compared with the live version sampled
+        before the request, as the HTTP driver does."""
+        with SearchService(catalog) as service:
+            search = service.search
+
+            def search_across_a_publish(query, limit=10):
+                response = search(query, limit=limit)
+                catalog.upsert(make_feature("d0"))  # bumps the version
+                service.refresh()
+                return response
+
+            service.search = search_across_a_publish
+            report = run_load(
+                service,
+                [QUERY],
+                clients=1,
+                requests_per_client=3,
+                live_version=lambda: catalog.version,
+            )
+            assert report.completed == 3
+            assert len(report.snapshot_versions) == 3
+            # Each request was served at the version live when it
+            # started, though the live version had moved on by the time
+            # it returned.
+            assert report.max_staleness == 0
+
 
 class TestSystemIntegration:
     def test_search_service_from_system(self, tmp_path):

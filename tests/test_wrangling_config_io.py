@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.curator import AddScanTarget, AddSynonym, DecideAmbiguity
 from repro.semantics import AmbiguityAction
@@ -116,3 +118,88 @@ class TestLoad:
         chain, state = load_process_config(text)
         assert chain.names()[0] == "scan-archive"
         assert len(state.decisions) == 0
+
+
+PAYLOAD_KEYS = [
+    "components",
+    "scan_targets",
+    "scan_workers",
+    "synonyms",
+    "abbreviations",
+    "context_rules",
+    "exclusion_patterns",
+    "decisions",
+    "discovered_rules",
+]
+
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=12,
+)
+
+# Values shaped like the real content one level down, so the fuzz also
+# reaches the row, decision, target and operation parsers.
+FIELD_NAMES = [
+    "name", "action", "canonical", "scope", "directory", "pattern",
+    "recursive", "op", "columnName", "edits", "from", "to", "expression",
+    "engineConfig", "facets", "mode", "oldColumnName", "newColumnName",
+    "baseColumnName", "repeatCount", "description",
+]
+OPS = [
+    "core/mass-edit", "core/text-transform", "core/column-rename",
+    "core/column-removal", "core/column-addition", "core/fill-down",
+    "core/row-removal",
+]
+shaped_values = st.lists(
+    st.lists(json_values, max_size=4)
+    | st.dictionaries(
+        st.sampled_from(FIELD_NAMES),
+        st.sampled_from(OPS) | st.sampled_from(["clarify", "hide"])
+        | json_values,
+        max_size=6,
+    ),
+    max_size=3,
+)
+
+
+class TestMalformedContent:
+    @pytest.mark.parametrize("content", [
+        {"discovered_rules": [1]},
+        {"discovered_rules": [{"op": "core/bogus"}]},
+        {"discovered_rules": [{"op": "core/mass-edit",
+                               "columnName": "c", "edits": 7}]},
+        {"decisions": [{}]},
+        {"decisions": [{"name": "temp", "action": "shrug"}]},
+        {"scan_targets": [{}]},
+        {"synonyms": 5},
+        {"synonyms": [["a", "b"], ["a", "c"]]},
+        {"exclusion_patterns": ["("]},
+        {"components": [["scan-archive"]]},
+    ])
+    def test_typed_error(self, content):
+        text = json.dumps(
+            {"format": "repro-process-config", "version": 1, **content}
+        )
+        with pytest.raises(ProcessConfigError) as info:
+            load_process_config(text)
+        assert str(info.value)
+
+    @given(
+        key=st.sampled_from(PAYLOAD_KEYS),
+        value=json_values | shaped_values,
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_any_value_loads_or_raises_typed(self, key, value):
+        text = json.dumps(
+            {"format": "repro-process-config", "version": 1, key: value}
+        )
+        try:
+            load_process_config(text)
+        except ProcessConfigError:
+            pass
