@@ -27,7 +27,7 @@ def _catalog_size_bytes(catalog) -> int:
     total = 0
     for feature in catalog:
         total += len(feature.dataset_id) + len(feature.title) + 64
-        total += len(json.dumps(feature.attributes))
+        total += len(json.dumps(dict(feature.attributes)))
         total += 88 * len(feature.variables)  # flat numeric fields
     return total
 

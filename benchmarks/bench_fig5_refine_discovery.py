@@ -9,6 +9,8 @@ round-trip fidelity, and replay throughput.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.archive import VOCABULARY, truth_index
@@ -75,8 +77,10 @@ class TestPosterRule:
         catalog = raw_catalog_from(fs)
         # Plant the poster's exact messy value so the rule has a target.
         feature = catalog.get(catalog.dataset_ids()[0])
-        feature.variables[0].name = "ATastn"
-        catalog.upsert(feature)
+        first, *rest = feature.variables
+        catalog.upsert(
+            replace(feature, variables=[replace(first, name="ATastn"), *rest])
+        )
         rules = RuleSet.loads(POSTER_JSON)
 
         def replay():

@@ -150,7 +150,7 @@ def seed_publish(working, published) -> None:
         if dataset_id in published_ids:
             if publish_mod.feature_digest(published.get(dataset_id)) == digest:
                 continue
-        published.upsert(feature.copy())
+        published.upsert(feature)
     for dataset_id in sorted(published_ids - working_ids):
         published.remove(dataset_id)
 

@@ -40,6 +40,7 @@ import random
 import statistics
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -252,10 +253,17 @@ def run(n_datasets: int, n_queries: int, repeats: int, limit: int) -> dict:
     # -- post-edit re-search ----------------------------------------------
     def edit_one(offset: int) -> None:
         feature = catalog.get("station_00000")
-        feature.bbox = BoundingBox(
-            44.0 + 0.001 * offset, -124.0, 44.2 + 0.001 * offset, -123.8
+        catalog.upsert(
+            replace(
+                feature,
+                bbox=BoundingBox(
+                    44.0 + 0.001 * offset,
+                    -124.0,
+                    44.2 + 0.001 * offset,
+                    -123.8,
+                ),
+            )
         )
-        catalog.upsert(feature)
 
     edits = [0]
 

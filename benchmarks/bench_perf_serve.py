@@ -61,6 +61,7 @@ import random
 import sys
 import threading
 import time
+from dataclasses import replace
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -90,11 +91,10 @@ from repro.wrangling.state import PublishDelta
 def publish_round(catalog, ids, round_number):
     """One wrangler publish: rewrite ``ids`` as ONE atomic batch (one
     version bump) and return the stamped delta that proves it."""
-    batch = []
-    for dataset_id in ids:
-        feature = catalog.get(dataset_id)
-        feature.row_count = 100 + round_number
-        batch.append(feature)
+    batch = [
+        replace(catalog.get(dataset_id), row_count=100 + round_number)
+        for dataset_id in ids
+    ]
     base = catalog.version
     catalog.apply_batch(batch, ())
     return PublishDelta(

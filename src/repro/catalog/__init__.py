@@ -20,7 +20,6 @@ from .store import (
     CatalogStore,
     DatasetNotFoundError,
     MemoryCatalog,
-    SnapshotContentionError,
     SnapshotMutationError,
 )
 
@@ -33,7 +32,6 @@ __all__ = [
     "DatasetNotFoundError",
     "IntervalIndex",
     "MemoryCatalog",
-    "SnapshotContentionError",
     "SnapshotMutationError",
     "SpatialGridIndex",
     "SqliteCatalog",

@@ -98,18 +98,6 @@ class FlakyCatalogStore(CatalogStore):
         self._maybe_fail("rename_variables")
         return self.inner.rename_variables(mapping, resolution=resolution)
 
-    def rename_units(self, mapping: dict[str, str]) -> int:
-        self._maybe_fail("rename_units")
-        return self.inner.rename_units(mapping)
-
-    def set_excluded(self, names: Iterable[str], excluded: bool = True) -> int:
-        self._maybe_fail("set_excluded")
-        return self.inner.set_excluded(names, excluded=excluded)
-
-    def set_ambiguous(self, names: Iterable[str], flag: bool = True) -> int:
-        self._maybe_fail("set_ambiguous")
-        return self.inner.set_ambiguous(names, flag=flag)
-
     # -- (optionally faulted) reads ------------------------------------------
 
     def get(self, dataset_id: str) -> DatasetFeature:
@@ -124,9 +112,9 @@ class FlakyCatalogStore(CatalogStore):
         self._maybe_fail_read("features")
         return self.inner.features()
 
-    def snapshot(self, attempts: int = 16):
+    def snapshot(self):
         self._maybe_fail_read("snapshot")
-        return self.inner.snapshot(attempts=attempts)
+        return self.inner.snapshot()
 
     def snapshot_cow(
         self,

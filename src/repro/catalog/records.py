@@ -5,24 +5,32 @@ into a 'feature' per dataset; features stored in catalog; similarity
 search is performed over catalog's contents."  A feature is the dataset's
 spatial bounding box, time interval and per-variable summary statistics —
 never the raw data.
+
+Both records are immutable: a feature is written once and read by every
+search, so stores, snapshots and search pages share one object per
+dataset version instead of copying it.  A writer that changes a feature
+builds a replacement and upserts it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Mapping
 
 from ..geo import BoundingBox, TimeInterval
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class VariableEntry:
     """One variable of one dataset, as the catalog knows it.
 
-    ``written_name``/``written_unit`` are immutable provenance — exactly
-    what the file said.  ``name``/``unit`` are the *current* (searchable)
-    forms that wrangling transformations rewrite.  ``excluded`` marks the
-    Table's "excessive variables": hidden from search, shown in detail
-    views.  ``ambiguous`` marks names a curator must clarify.
+    ``written_name``/``written_unit`` are provenance — exactly what the
+    file said.  ``name``/``unit`` are the *current* (searchable) forms
+    that wrangling transformations rewrite by building a replacement
+    entry.  ``excluded`` marks the Table's "excessive variables": hidden
+    from search, shown in detail views.  ``ambiguous`` marks names a
+    curator must clarify.
     """
 
     written_name: str
@@ -52,43 +60,25 @@ class VariableEntry:
     ) -> "VariableEntry":
         """A fresh entry whose current form equals the written form."""
         return cls(
-            written_name=written_name,
-            written_unit=written_unit,
-            name=written_name,
-            unit=written_unit,
-            count=count,
-            minimum=minimum,
-            maximum=maximum,
-            mean=mean,
-            stddev=stddev,
-        )
-
-    def copy(self) -> "VariableEntry":
-        """A detached copy (stores hand out copies, never internals).
-
-        Spelled out field by field: ``dataclasses.replace`` costs about
-        three times as much, and every search page copies its features.
-        """
-        return VariableEntry(
-            written_name=self.written_name,
-            written_unit=self.written_unit,
-            name=self.name,
-            unit=self.unit,
-            count=self.count,
-            minimum=self.minimum,
-            maximum=self.maximum,
-            mean=self.mean,
-            stddev=self.stddev,
-            excluded=self.excluded,
-            ambiguous=self.ambiguous,
-            context=self.context,
-            resolution=self.resolution,
+            written_name,
+            written_unit,
+            written_name,
+            written_unit,
+            count,
+            minimum,
+            maximum,
+            mean,
+            stddev,
         )
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class DatasetFeature:
-    """The catalog's summary of one dataset."""
+    """The catalog's summary of one dataset.
+
+    ``variables`` is stored as a tuple and ``attributes`` as a read-only
+    view of a private dict, whatever sequence and mapping were passed.
+    """
 
     dataset_id: str  # archive-relative path; unique
     title: str
@@ -98,9 +88,32 @@ class DatasetFeature:
     interval: TimeInterval
     row_count: int
     source_directory: str
-    attributes: dict[str, str] = field(default_factory=dict)
-    variables: list[VariableEntry] = field(default_factory=list)
+    attributes: Mapping[str, str] = field(default_factory=dict)
+    variables: tuple[VariableEntry, ...] = ()
     content_hash: str = ""  # hash of the source file, for incremental runs
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "attributes", MappingProxyType(dict(self.attributes))
+        )
+        object.__setattr__(self, "variables", tuple(self.variables))
+
+    def __reduce__(self):
+        # A mapping proxy does not pickle, and the scan's worker
+        # processes send features back: rebuild through the constructor.
+        return DatasetFeature, (
+            self.dataset_id,
+            self.title,
+            self.platform,
+            self.file_format,
+            self.bbox,
+            self.interval,
+            self.row_count,
+            self.source_directory,
+            dict(self.attributes),
+            self.variables,
+            self.content_hash,
+        )
 
     def variable(self, name: str) -> VariableEntry:
         """The entry whose *current* name is ``name``.
@@ -120,19 +133,3 @@ class DatasetFeature:
     def variable_names(self) -> list[str]:
         """Current names of all variables (excluded included)."""
         return [v.name for v in self.variables]
-
-    def copy(self) -> "DatasetFeature":
-        """A deep-enough copy: fresh variable list with copied entries."""
-        return DatasetFeature(
-            dataset_id=self.dataset_id,
-            title=self.title,
-            platform=self.platform,
-            file_format=self.file_format,
-            bbox=self.bbox,
-            interval=self.interval,
-            row_count=self.row_count,
-            source_directory=self.source_directory,
-            attributes=dict(self.attributes),
-            variables=[v.copy() for v in self.variables],
-            content_hash=self.content_hash,
-        )

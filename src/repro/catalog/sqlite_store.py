@@ -12,9 +12,9 @@ last occurrence of an id wins), then one ``executemany`` deletes their
 ids — skipped when the store is known to be empty — one inserts their
 ``datasets`` rows and one their ``variables`` rows, fed by generators;
 removals are one more ``executemany``.  There are no per-feature
-statements, and no index beyond the keys and ``idx_variables_name``:
-the ``datasets`` range indexes of older builds are dropped on open,
-since no search reads them.
+statements, and no index beyond the keys: the ``datasets`` range indexes
+and the ``variables`` name index of older builds are dropped on open,
+since no statement reads them.
 
 Writes are hardened against contention: file-backed connections set
 ``busy_timeout`` so SQLite waits out short lock windows itself, and
@@ -38,19 +38,20 @@ catalog version they are valid at.  It is seeded when the database is
 empty at open, refilled by every full :meth:`~SqliteCatalog.snapshot`
 read, and advanced by each of this connection's own committed writes,
 so serving a catalog just published through this connection never reads
-it back.  Each entry is built in the same pass that binds its
-``datasets`` row, straight from the input feature: when every value has
-exactly the type its column stores, only a zero statistic changes
-(``-0.0`` is stored as ``0.0``) and the frozen ``bbox``/``interval`` are
-shared; any other feature is decoded from its bound row tuples,
+it back.  Each entry is found in the same pass that binds its
+``datasets`` row, straight from the input feature, which is immutable:
+when every value has exactly the type its column stores, the entry is
+the input feature itself, or a rebuild of it when a statistic is zero
+(``-0.0`` is stored as ``0.0``) or the attributes are not in stored
+order; any other feature is decoded from its bound row tuples,
 normalised to what SQLite stores, by the same
 ``_feature_from_row``/``_variable_from_row`` as a disk read.  Either
 way the entry equals a disk read.  A write from another connection (the
-version moves by more than our own bump), a bulk SQL sweep
-(``rename_*``/``set_*``) or :meth:`~SqliteCatalog.close` drops it, and
-the next :meth:`~SqliteCatalog.snapshot` reads the disk again.  Point
-reads (``get``, ``features``, ``len``, ``dataset_ids``) always run
-against the database, so other connections' writes stay visible.
+version moves by more than our own bump) or
+:meth:`~SqliteCatalog.close` drops it, and the next
+:meth:`~SqliteCatalog.snapshot` reads the disk again.  Point reads
+(``get``, ``features``, ``len``, ``dataset_ids``) always run against the
+database, so other connections' writes stay visible.
 """
 
 from __future__ import annotations
@@ -116,7 +117,6 @@ CREATE TABLE IF NOT EXISTS variables (
     resolution   TEXT NOT NULL DEFAULT '',
     PRIMARY KEY (dataset_id, position)
 );
-CREATE INDEX IF NOT EXISTS idx_variables_name ON variables(name);
 CREATE TABLE IF NOT EXISTS catalog_meta (
     key   TEXT PRIMARY KEY,
     value INTEGER NOT NULL
@@ -244,15 +244,16 @@ def _stored_feature(
     feature: DatasetFeature, row: tuple
 ) -> DatasetFeature | None:
     """What a read of ``feature``, bound as the ``datasets`` ``row``,
-    returns, built straight from the feature; ``None`` off the fast path.
+    returns, found from the feature; ``None`` off the fast path.
 
     The fast path is the common shape: every value has exactly the type
-    its column stores and no box or interval coordinate is zero, so the
-    frozen ``bbox`` and ``interval`` are shared and only a variable's
-    zero statistic (``-0.0`` → ``0.0``) changes.  Like
-    :meth:`DatasetFeature.copy`, the entry shares the feature's strings
-    rather than interning them as a disk read does: the caller's
-    features hold those strings anyway.
+    its column stores and no box or interval coordinate is zero.  Then
+    the feature itself is what a read returns, unless a variable has a
+    zero statistic (``-0.0`` → ``0.0``) or the attributes are not str to
+    str in sorted key order (a read decodes the sorted JSON): only
+    then is a replacement built, and only the zero-statistic entries in
+    it are new.  The entry shares the feature's strings rather than
+    interning them as a disk read does: the caller holds them anyway.
     """
     (
         dataset_id, title, platform, file_format,
@@ -269,48 +270,53 @@ def _stored_feature(
         is type(max_lon) is type(start) is type(end)
         and min_lat and min_lon and max_lat and max_lon and start and end
         and type(bbox) is BoundingBox and type(interval) is TimeInterval
+        and type(feature) is DatasetFeature
     ):
         return None
-    variables = []
-    for v in feature.variables:
-        written_name, written_unit, name, unit = (
-            v.written_name, v.written_unit, v.name, v.unit
-        )
+    variables = feature.variables
+    rebuilt = None
+    for position, v in enumerate(variables):
         count, minimum, maximum, mean, stddev = (
             v.count, v.minimum, v.maximum, v.mean, v.stddev
         )
-        excluded, ambiguous, context, resolution = (
-            v.excluded, v.ambiguous, v.context, v.resolution
-        )
         if not (
-            str is type(written_name) is type(written_unit) is type(name)
-            is type(unit) is type(context) is type(resolution)
+            type(v) is VariableEntry
+            and str is type(v.written_name) is type(v.written_unit)
+            is type(v.name) is type(v.unit) is type(v.context)
+            is type(v.resolution)
             and type(count) is int
             and float is type(minimum) is type(maximum) is type(mean)
             is type(stddev)
-            and bool is type(excluded) is type(ambiguous)
+            and bool is type(v.excluded) is type(v.ambiguous)
         ):
             return None
         if not (minimum and maximum and mean and stddev):
-            minimum, maximum = minimum + 0.0, maximum + 0.0
-            mean, stddev = mean + 0.0, stddev + 0.0
-        variables.append(
-            VariableEntry(
-                written_name,
-                written_unit,
-                name,
-                unit,
+            if rebuilt is None:
+                rebuilt = list(variables)
+            rebuilt[position] = VariableEntry(
+                v.written_name,
+                v.written_unit,
+                v.name,
+                v.unit,
                 count,
-                minimum,
-                maximum,
-                mean,
-                stddev,
-                excluded,
-                ambiguous,
-                context,
-                resolution,
+                minimum + 0.0,
+                maximum + 0.0,
+                mean + 0.0,
+                stddev + 0.0,
+                v.excluded,
+                v.ambiguous,
+                v.context,
+                v.resolution,
             )
-        )
+    stored_attributes = feature.attributes
+    keys = list(stored_attributes)
+    if not all(
+        str is type(key) is type(value)
+        for key, value in stored_attributes.items()
+    ) or keys != sorted(keys):
+        stored_attributes = json.loads(attributes)
+    elif rebuilt is None:
+        return feature
     return DatasetFeature(
         dataset_id,
         title,
@@ -320,8 +326,8 @@ def _stored_feature(
         interval,
         row_count,
         source_dir,
-        json.loads(attributes),
-        variables,
+        stored_attributes,
+        variables if rebuilt is None else rebuilt,
         content_hash,
     )
 
@@ -382,16 +388,17 @@ class SqliteCatalog(CatalogStore):
         self._staged: dict[str, DatasetFeature] | None = None
 
     def _drop_legacy_artifacts(self) -> None:
-        """Remove the prefilter structures of old builds.
+        """Remove the indexes and prefilter structures of old builds.
 
-        Those are the ``datasets`` range indexes and the R*Tree tables
-        and triggers; the indexes and triggers are the costly remnant,
-        maintained on every write.  Dropping the R*Tree virtual table
+        Those are the ``datasets`` range indexes, the ``variables`` name
+        index and the R*Tree tables and triggers; the indexes and
+        triggers are the costly remnant, maintained on every write.  Dropping the R*Tree virtual table
         itself needs the rtree module — when that fails the orphaned
         table is left behind, inert now that the triggers are gone.
         """
         self._conn.execute("DROP INDEX IF EXISTS idx_datasets_bbox")
         self._conn.execute("DROP INDEX IF EXISTS idx_datasets_time")
+        self._conn.execute("DROP INDEX IF EXISTS idx_variables_name")
         self._conn.execute("DROP TRIGGER IF EXISTS trg_prefilter_insert")
         self._conn.execute("DROP TRIGGER IF EXISTS trg_prefilter_delete")
         try:
@@ -500,7 +507,7 @@ class SqliteCatalog(CatalogStore):
             ).fetchone()
         return value
 
-    def snapshot(self, attempts: int = 16) -> CatalogSnapshot:
+    def snapshot(self) -> CatalogSnapshot:
         """A frozen, version-consistent copy of the whole catalog.
 
         When the mirror is valid at the live version, the snapshot is
@@ -584,9 +591,8 @@ class SqliteCatalog(CatalogStore):
     ) -> tuple[int, int]:
         """One write transaction: the clear, the upserts, the removals.
 
-        Every mutator but the bulk SQL sweeps (``rename_*``/``set_*``)
-        runs through here under :meth:`_write`, so each issues a number
-        of statements independent of its batch size.
+        Every mutator runs through here under :meth:`_write`, so each
+        issues a number of statements independent of its batch size.
         The version is bumped first whenever the batch is sure to change
         the catalog: the bump takes the write lock, and the version it
         returns tells whether the store is known to be empty (an empty
@@ -754,7 +760,7 @@ class SqliteCatalog(CatalogStore):
             feature.interval.end,
             feature.row_count,
             feature.source_directory,
-            json.dumps(feature.attributes, sort_keys=True),
+            json.dumps(dict(feature.attributes), sort_keys=True),
             feature.content_hash,
         )
 
@@ -960,90 +966,3 @@ class SqliteCatalog(CatalogStore):
         return self._write(
             lambda: self._apply(batch, [], clear=True)[0], "replace_all"
         )
-
-    # -- bulk operations pushed into SQL --------------------------------------
-
-    def rename_variables(
-        self, mapping: dict[str, str], resolution: str = ""
-    ) -> int:
-        def write() -> int:
-            changed = 0
-            with self._conn:
-                for old, new in mapping.items():
-                    if old == new:
-                        continue
-                    cursor = self._conn.execute(
-                        "UPDATE variables SET name = ?, resolution = ? "
-                        "WHERE name = ?",
-                        (new, resolution, old),
-                    )
-                    changed += cursor.rowcount
-                if changed:
-                    self._bump_version()
-            if changed:
-                self._mirror = None  # a sweep has no rows to mirror
-            return changed
-
-        return self._write(write, "rename_variables")
-
-    def rename_units(self, mapping: dict[str, str]) -> int:
-        def write() -> int:
-            changed = 0
-            with self._conn:
-                for old, new in mapping.items():
-                    if old == new:
-                        continue
-                    cursor = self._conn.execute(
-                        "UPDATE variables SET unit = ? WHERE unit = ?",
-                        (new, old),
-                    )
-                    changed += cursor.rowcount
-                if changed:
-                    self._bump_version()
-            if changed:
-                self._mirror = None  # a sweep has no rows to mirror
-            return changed
-
-        return self._write(write, "rename_units")
-
-    def set_excluded(self, names: Iterable[str], excluded: bool = True) -> int:
-        target = set(names)
-
-        def write() -> int:
-            changed = 0
-            with self._conn:
-                for name in target:
-                    cursor = self._conn.execute(
-                        "UPDATE variables SET excluded = ? "
-                        "WHERE name = ? AND excluded != ?",
-                        (int(excluded), name, int(excluded)),
-                    )
-                    changed += cursor.rowcount
-                if changed:
-                    self._bump_version()
-            if changed:
-                self._mirror = None  # a sweep has no rows to mirror
-            return changed
-
-        return self._write(write, "set_excluded")
-
-    def set_ambiguous(self, names: Iterable[str], flag: bool = True) -> int:
-        target = set(names)
-
-        def write() -> int:
-            changed = 0
-            with self._conn:
-                for name in target:
-                    cursor = self._conn.execute(
-                        "UPDATE variables SET ambiguous = ? "
-                        "WHERE name = ? AND ambiguous != ?",
-                        (int(flag), name, int(flag)),
-                    )
-                    changed += cursor.rowcount
-                if changed:
-                    self._bump_version()
-            if changed:
-                self._mirror = None  # a sweep has no rows to mirror
-            return changed
-
-        return self._write(write, "set_ambiguous")

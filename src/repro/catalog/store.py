@@ -2,13 +2,17 @@
 
 The wrangling process maintains a *working catalog* and publishes into a
 *metadata catalog*; both are instances of :class:`CatalogStore`.  The
-interface is deliberately small — upsert/get/iterate plus the bulk
-operations transformations need (rename variables, mark exclusions).
+interface is deliberately small — upsert/get/iterate, the batch writes a
+publish needs, and one bulk rename.
+
+Features are immutable (:mod:`repro.catalog.records`), so every store
+keeps and hands out the very objects it was given: a read copies
+nothing, and a writer that changes a feature upserts a replacement.
 
 Concurrency model: stores are written by one wrangle at a time but may
 be *read* by many search threads.  Readers take an immutable
 :class:`CatalogSnapshot` (:meth:`CatalogStore.snapshot`) — a frozen,
-version-stamped copy of the catalog at one instant — and run every
+version-stamped view of the catalog at one instant — and run every
 query against it, so readers never block writers and never observe a
 half-applied batch.  Writers keep batches atomic: :meth:`apply_batch`
 applies a publish's upserts *and* removals under a single version bump
@@ -21,6 +25,7 @@ from __future__ import annotations
 import threading
 from abc import ABC, abstractmethod
 from collections import Counter
+from dataclasses import replace
 from typing import Iterable, Iterator
 
 from .records import DatasetFeature, VariableEntry
@@ -32,15 +37,6 @@ class DatasetNotFoundError(KeyError):
 
 class SnapshotMutationError(TypeError):
     """Raised when a mutating operation is attempted on a snapshot."""
-
-
-class SnapshotContentionError(RuntimeError):
-    """Raised when a consistent snapshot could not be read.
-
-    Only the *generic* :meth:`CatalogStore.snapshot` fallback (optimistic
-    version-check retry) can raise this; the bundled stores read under a
-    lock or transaction and always succeed in one pass.
-    """
 
 
 class CatalogStore(ABC):
@@ -56,11 +52,11 @@ class CatalogStore(ABC):
         """Monotonically increasing mutation counter.
 
         Every mutating operation — :meth:`upsert`, :meth:`remove`,
-        :meth:`clear` and the bulk variable operations when they change
-        at least one entry — bumps this counter, so index and cache
-        layers can detect staleness in O(1).  Comparing catalog *sizes*
-        is not sufficient: a same-size replacement (remove + upsert, or
-        an in-place upsert of an existing id) changes content without
+        :meth:`clear`, the batch writes and :meth:`rename_variables`
+        when it changes at least one entry — bumps this counter, so
+        cache layers can detect staleness in O(1).  Comparing catalog
+        *sizes* is not sufficient: a same-size replacement (remove +
+        upsert, or an upsert of an existing id) changes content without
         changing the length.
         """
         return self._version
@@ -71,39 +67,21 @@ class CatalogStore(ABC):
 
     # -- snapshots -----------------------------------------------------------
 
-    def snapshot(self, attempts: int = 16) -> "CatalogSnapshot":
-        """An immutable, version-stamped copy of the catalog right now.
+    @abstractmethod
+    def snapshot(self) -> "CatalogSnapshot":
+        """An immutable, version-stamped view of the catalog right now.
 
-        The snapshot is fully materialized: once taken it never touches
-        this store again, so query threads holding one cannot block (or
-        be corrupted by) concurrent writers.  Its :attr:`version` equals
-        this store's version at the instant of the copy — version-keyed
-        caches and index stamps computed against the snapshot therefore
-        agree exactly with ones computed against the live store at the
-        same version.
-
-        This generic implementation is optimistic: read the version,
-        copy the features, and retry if the version moved mid-copy.
-        The bundled stores override it with a single locked (memory) or
-        transactional (SQLite) pass.
-
-        Raises:
-            SnapshotContentionError: if ``attempts`` optimistic passes
-                all raced a writer (generic fallback only).
+        Once taken, the snapshot never touches this store again, so
+        query threads holding one cannot block (or be corrupted by)
+        concurrent writers; it shares the store's feature objects, which
+        are immutable.  Its :attr:`version` equals this store's version
+        at the instant of the read — version-keyed caches computed
+        against the snapshot therefore agree exactly with ones computed
+        against the live store at the same version.  Stores read under
+        a lock (memory) or in one read transaction (SQLite).
         """
-        for __ in range(attempts):
-            before = self.version
-            try:
-                features = {f.dataset_id: f for f in self.features()}
-            except (KeyError, RuntimeError):
-                continue  # torn read under concurrent mutation; retry
-            if self.version == before:
-                return CatalogSnapshot(features, version=before)
-        raise SnapshotContentionError(
-            f"no consistent read in {attempts} attempts "
-            "(writer mutating continuously?)"
-        )
 
+    @abstractmethod
     def snapshot_cow(
         self,
         previous: "CatalogSnapshot",
@@ -113,38 +91,20 @@ class CatalogStore(ABC):
     ) -> "CatalogSnapshot | None":
         """A copy-on-write snapshot: ``previous`` plus a known delta.
 
-        Instead of copying all N features, fetch only the ``upserted``
-        ids from the store and build the new snapshot by structurally
-        sharing every unchanged feature object with ``previous`` — the
-        publish path of the serving layer, O(changed) per refresh.
+        Instead of reading all N features, fetch only the ``upserted``
+        ids from the store and build the new snapshot by sharing every
+        unchanged feature object with ``previous`` — the publish path of
+        the serving layer, O(changed) per refresh.
 
         Sound only when the caller *proves* the delta is the sole
         change since ``previous`` was taken (see
         ``PublishDelta.spans``); ``expect_version`` re-checks the store
-        version at read time so a racing writer cannot slip a mutation
-        under the shared copy.  Returns ``None`` when the check fails —
+        version at read time, in the same locked pass as the delta
+        reads, so a racing writer cannot slip a mutation under the
+        shared objects.  Returns ``None`` when the check fails —
         callers fall back to :meth:`snapshot`.  Upserted ids no longer
         present in the store are treated as removed.
-
-        This generic implementation is optimistic like the generic
-        :meth:`snapshot`; the bundled stores override it with one
-        locked pass.
         """
-        before = self.version
-        if expect_version is not None and before != expect_version:
-            return None
-        if before == previous.version:
-            return previous
-        upserts: dict[str, DatasetFeature] = {}
-        gone = list(removed)
-        for dataset_id in upserted:
-            try:
-                upserts[dataset_id] = self.get(dataset_id)
-            except DatasetNotFoundError:
-                gone.append(dataset_id)
-        if self.version != before:
-            return None  # raced a writer mid-read
-        return previous.evolve(upserts, gone, version=before)
 
     # -- dataset-level -------------------------------------------------------
 
@@ -154,7 +114,7 @@ class CatalogStore(ABC):
 
     @abstractmethod
     def get(self, dataset_id: str) -> DatasetFeature:
-        """Return a copy of the feature.
+        """Return the feature (immutable; shared, not copied).
 
         Raises:
             DatasetNotFoundError: when absent.
@@ -182,26 +142,20 @@ class CatalogStore(ABC):
 
     # -- batch operations ----------------------------------------------------
     #
-    # The ingest fast path publishes whole batches at a time.  Concrete
-    # stores override these with implementations that bump the version
-    # counter ONCE per non-empty batch (and, for SQLite, run in a single
-    # transaction); the defaults here are correct but pay the per-item
-    # cost, so they exist only for third-party stores that have not
-    # caught up yet.
+    # The ingest fast path publishes whole batches at a time.  Each store
+    # bumps the version counter ONCE per non-empty batch (and SQLite runs
+    # it in a single transaction).
 
+    @abstractmethod
     def upsert_many(self, features: Iterable[DatasetFeature]) -> int:
         """Insert or replace a batch of features; returns the count.
 
-        Overrides bump :attr:`version` once per non-empty batch so a
-        publish of N changed datasets invalidates version-keyed caches
-        exactly once instead of N times.
+        Bumps :attr:`version` once per non-empty batch so a publish of N
+        changed datasets invalidates version-keyed caches exactly once
+        instead of N times.
         """
-        count = 0
-        for feature in features:
-            self.upsert(feature)
-            count += 1
-        return count
 
+    @abstractmethod
     def remove_many(self, dataset_ids: Iterable[str]) -> int:
         """Remove a batch of datasets; returns how many were present.
 
@@ -209,15 +163,8 @@ class CatalogStore(ABC):
         batch callers (scan, publish) have already decided what should
         vanish and only need the store to converge.
         """
-        removed = 0
-        for dataset_id in dataset_ids:
-            try:
-                self.remove(dataset_id)
-            except DatasetNotFoundError:
-                continue
-            removed += 1
-        return removed
 
+    @abstractmethod
     def apply_batch(
         self,
         upserts: Iterable[DatasetFeature] = (),
@@ -226,52 +173,33 @@ class CatalogStore(ABC):
         """Apply upserts and removals as ONE logical batch.
 
         This is the publish primitive: a re-wrangle's changed and
-        vanished datasets land together, so a concurrent
-        :meth:`snapshot` sees either the whole publish or none of it.
-        Concrete stores override this with a single-transaction,
-        single-version-bump implementation; this default delegates to
-        the two batch calls (two bumps — correct, but a reader could
-        snapshot between them) for third-party stores that have not
-        caught up yet.
+        vanished datasets land together under one version bump, so a
+        concurrent :meth:`snapshot` sees either the whole publish or
+        none of it.
 
         Returns ``(upserted, removed)`` counts; absent removal ids are
         skipped silently, as in :meth:`remove_many`.
         """
-        return self.upsert_many(upserts), self.remove_many(removals)
 
+    @abstractmethod
     def replace_all(self, features: Iterable[DatasetFeature]) -> int:
         """Replace the entire content with ``features`` atomically.
 
-        The full-copy analogue of :meth:`apply_batch`: concrete stores
-        swap the content under one version bump so a concurrent
-        snapshot never observes the emptied-but-not-yet-refilled state
-        this default's clear-then-insert exposes.  Returns the new
+        The full-copy analogue of :meth:`apply_batch`: the content is
+        swapped under one version bump, so a concurrent snapshot never
+        observes an emptied-but-not-yet-refilled state.  Returns the new
         dataset count.
         """
-        self.clear()
-        return self.upsert_many(features)
 
+    @abstractmethod
     def features(self) -> Iterator[DatasetFeature]:
-        """Yield copies of all features in ``dataset_ids()`` order.
+        """Yield all features in ``dataset_ids()`` order.
 
-        This is the bulk read primitive: backends that pay a per-dataset
-        lookup cost (SQLite's ``get`` issues one query for the dataset
-        row and one for its variables) override it with a grouped read,
-        so full-catalog consumers (index builds, publishes, exports)
-        avoid the 1+2N query pattern.
+        This is the bulk read primitive: full-catalog consumers
+        (publishes, exports, sweeps) read through it, and backends that
+        pay a per-dataset lookup cost (SQLite) answer it with a grouped
+        read instead of the 1+2N query pattern of looping :meth:`get`.
         """
-        for dataset_id in self.dataset_ids():
-            yield self.get(dataset_id)
-
-    def shared_features(self) -> Iterator[DatasetFeature]:
-        """Features for read-only consumers, in ``dataset_ids()`` order.
-
-        A mutable store hands out copies, as :meth:`features` does; an
-        immutable :class:`CatalogSnapshot` hands out its own objects, so
-        index builds over a snapshot copy nothing.  Callers must not
-        mutate what they get.
-        """
-        return self.features()
 
     def __iter__(self) -> Iterator[DatasetFeature]:
         return self.features()
@@ -280,7 +208,7 @@ class CatalogStore(ABC):
         """True when ``dataset_id`` is cataloged."""
         return dataset_id in set(self.dataset_ids())
 
-    # -- variable-level bulk operations --------------------------------------
+    # -- variable-level operations -------------------------------------------
 
     def variable_name_counts(self) -> Counter[str]:
         """Current variable name -> number of datasets using it."""
@@ -299,70 +227,36 @@ class CatalogStore(ABC):
         self, mapping: dict[str, str], resolution: str = ""
     ) -> int:
         """Rewrite current variable names via ``mapping``; returns the
-        number of entries changed.  ``resolution`` labels the provenance.
+        number of entries changed.  ``resolution`` labels the provenance
+        of a renamed entry (an empty label keeps the entry's own).
+
+        A replacement is built for each touched feature, and all of them
+        are written with one :meth:`apply_batch`: one version bump, and
+        a snapshot taken earlier keeps the old features.
         """
+        replacements = []
         changed = 0
-        for feature in self:
-            touched = False
-            for entry in feature.variables:
-                new_name = mapping.get(entry.name)
-                if new_name is not None and new_name != entry.name:
-                    entry.name = new_name
-                    if resolution:
-                        entry.resolution = resolution
-                    changed += 1
-                    touched = True
+        for feature in self.features():
+            variables = list(feature.variables)
+            touched = 0
+            for position, entry in enumerate(variables):
+                new_name = mapping.get(entry.name, entry.name)
+                if new_name != entry.name:
+                    variables[position] = replace(
+                        entry,
+                        name=new_name,
+                        resolution=resolution or entry.resolution,
+                    )
+                    touched += 1
             if touched:
-                self.upsert(feature)
-        return changed
-
-    def rename_units(self, mapping: dict[str, str]) -> int:
-        """Rewrite current unit strings via ``mapping``; returns changes."""
-        changed = 0
-        for feature in self:
-            touched = False
-            for entry in feature.variables:
-                new_unit = mapping.get(entry.unit)
-                if new_unit is not None and new_unit != entry.unit:
-                    entry.unit = new_unit
-                    changed += 1
-                    touched = True
-            if touched:
-                self.upsert(feature)
-        return changed
-
-    def set_excluded(self, names: Iterable[str], excluded: bool = True) -> int:
-        """Mark variables with current names in ``names``; returns count."""
-        target = set(names)
-        changed = 0
-        for feature in self:
-            touched = False
-            for entry in feature.variables:
-                if entry.name in target and entry.excluded != excluded:
-                    entry.excluded = excluded
-                    changed += 1
-                    touched = True
-            if touched:
-                self.upsert(feature)
-        return changed
-
-    def set_ambiguous(self, names: Iterable[str], flag: bool = True) -> int:
-        """Mark variables as needing curator clarification."""
-        target = set(names)
-        changed = 0
-        for feature in self:
-            touched = False
-            for entry in feature.variables:
-                if entry.name in target and entry.ambiguous != flag:
-                    entry.ambiguous = flag
-                    changed += 1
-                    touched = True
-            if touched:
-                self.upsert(feature)
+                replacements.append(replace(feature, variables=variables))
+                changed += touched
+        if replacements:
+            self.apply_batch(replacements)
         return changed
 
     def copy_into(self, other: "CatalogStore") -> int:
-        """Replace ``other``'s content with a copy of this catalog.
+        """Replace ``other``'s content with this catalog's features.
 
         This is the Publish component's primitive.  Returns dataset count.
         The copy goes through :meth:`features`/:meth:`replace_all`, so a
@@ -389,8 +283,8 @@ class CatalogSnapshot(CatalogStore):
     :class:`~repro.catalog.index.CatalogIndexes` built over a snapshot
     carry a truthful ``catalog_version`` stamp.
 
-    :meth:`get` returns copies, like every other store — the snapshot's
-    own features stay pristine even if a caller mutates a result.
+    :meth:`get` and :meth:`features` hand out the snapshot's own feature
+    objects: they are immutable, so no caller can write through them.
     """
 
     _MUTATION_MESSAGE = (
@@ -423,7 +317,7 @@ class CatalogSnapshot(CatalogStore):
 
     def get(self, dataset_id: str) -> DatasetFeature:
         try:
-            return self._features[dataset_id].copy()
+            return self._features[dataset_id]
         except KeyError:
             raise DatasetNotFoundError(dataset_id)
 
@@ -434,29 +328,28 @@ class CatalogSnapshot(CatalogStore):
         return len(self._features)
 
     def features(self) -> Iterator[DatasetFeature]:
-        for dataset_id in self._ids:
-            yield self._features[dataset_id].copy()
-
-    def shared_features(
-        self, dataset_ids: Iterable[str] | None = None
-    ) -> Iterator[DatasetFeature]:
-        """The snapshot's own feature objects, without defensive copies
-        (sound because nothing can write through a snapshot): all of
-        them in id order, or just the listed ids that exist."""
         features = self._features
-        if dataset_ids is None:
-            return (features[dataset_id] for dataset_id in self._ids)
-        return (
-            features[dataset_id]
-            for dataset_id in dataset_ids
-            if dataset_id in features
-        )
+        return (features[dataset_id] for dataset_id in self._ids)
 
     def contains(self, dataset_id: str) -> bool:
         return dataset_id in self._features
 
-    def snapshot(self, attempts: int = 16) -> "CatalogSnapshot":
+    def snapshot(self) -> "CatalogSnapshot":
         """A snapshot of a snapshot is itself (already immutable)."""
+        return self
+
+    def snapshot_cow(
+        self,
+        previous: "CatalogSnapshot",
+        upserted: Iterable[str] = (),
+        removed: Iterable[str] = (),
+        expect_version: int | None = None,
+    ) -> "CatalogSnapshot | None":
+        """Itself, whatever the delta: a snapshot's content is already
+        the content at its version.  ``None`` if that version is not
+        ``expect_version``."""
+        if expect_version is not None and expect_version != self.version:
+            return None
         return self
 
     def evolve(
@@ -469,14 +362,10 @@ class CatalogSnapshot(CatalogStore):
 
         The copy-on-write construction behind
         :meth:`CatalogStore.snapshot_cow`: the feature *dict* is copied
-        (O(N) pointers), the feature *objects* — the expensive part —
-        are shared for every id the delta did not touch.  Sharing is
-        sound because snapshots are immutable end to end: every mutator
-        raises :class:`SnapshotMutationError`, every read
-        (:meth:`get`/:meth:`features`) returns copies or, for
-        :meth:`shared_features`, objects its callers only read, and the
-        stores that build snapshots store copies themselves — no path
-        exists by which either snapshot's objects can be written through.
+        (O(N) pointers), and the feature objects are shared for every
+        id the delta did not touch.  Sharing is sound because features
+        are immutable and every mutator of a snapshot raises
+        :class:`SnapshotMutationError`.
 
         The caller is responsible for the delta actually spanning
         ``self.version -> version`` (the store's ``snapshot_cow``
@@ -504,9 +393,7 @@ class CatalogSnapshot(CatalogStore):
         Because the snapshot never changes, the columns are frozen at
         most once and shared by every engine (and every serve request)
         holding this snapshot — the expensive part of the columnar fast
-        path is paid per snapshot refresh, not per query.  Reads the
-        internal features directly (no defensive copies): the freeze
-        only extracts numeric facets and interned strings.
+        path is paid per snapshot refresh, not per query.
 
         The first freeze runs under a per-snapshot lock, so concurrent
         first readers share ONE freeze instead of each paying the full
@@ -597,41 +484,25 @@ class CatalogSnapshot(CatalogStore):
     ) -> int:
         raise SnapshotMutationError(self._MUTATION_MESSAGE)
 
-    def rename_units(self, mapping: dict[str, str]) -> int:
-        raise SnapshotMutationError(self._MUTATION_MESSAGE)
-
-    def set_excluded(self, names: Iterable[str], excluded: bool = True) -> int:
-        raise SnapshotMutationError(self._MUTATION_MESSAGE)
-
-    def set_ambiguous(self, names: Iterable[str], flag: bool = True) -> int:
-        raise SnapshotMutationError(self._MUTATION_MESSAGE)
-
 
 class MemoryCatalog(CatalogStore):
     """Dict-backed store: the default working catalog.
 
     Mutations and snapshots synchronize on one lock, so a
-    :meth:`snapshot` taken while another thread runs a bulk operation
-    (a publish batch, an in-place rename sweep) sees the catalog
-    strictly before or strictly after it — never a torn middle.  Point
-    reads (:meth:`get`, iteration) stay lock-free for the single-writer
-    wrangling hot path; concurrent *readers* should search snapshots,
-    which is what the serving layer does.
+    :meth:`snapshot` taken while another thread writes a batch sees the
+    catalog strictly before or strictly after it — never a torn middle.
+    Point reads (:meth:`get`, iteration) stay lock-free for the
+    single-writer wrangling hot path; concurrent *readers* should search
+    snapshots, which is what the serving layer does.
     """
 
     def __init__(self) -> None:
         self._features: dict[str, DatasetFeature] = {}
         self._write_lock = threading.RLock()
 
-    def snapshot(self, attempts: int = 16) -> CatalogSnapshot:
+    def snapshot(self) -> CatalogSnapshot:
         with self._write_lock:
-            return CatalogSnapshot(
-                {
-                    dataset_id: feature.copy()
-                    for dataset_id, feature in self._features.items()
-                },
-                version=self._version,
-            )
+            return CatalogSnapshot(self._features, version=self._version)
 
     def snapshot_cow(
         self,
@@ -642,7 +513,7 @@ class MemoryCatalog(CatalogStore):
     ) -> CatalogSnapshot | None:
         # One locked pass: the version check and the delta reads are a
         # single atomic unit, so the expect_version guarantee cannot be
-        # invalidated between check and copy.
+        # invalidated between check and read.
         with self._write_lock:
             version = self._version
             if expect_version is not None and version != expect_version:
@@ -656,17 +527,17 @@ class MemoryCatalog(CatalogStore):
                 if feature is None:
                     gone.append(dataset_id)
                 else:
-                    upserts[dataset_id] = feature.copy()
+                    upserts[dataset_id] = feature
             return previous.evolve(upserts, gone, version=version)
 
     def upsert(self, feature: DatasetFeature) -> None:
         with self._write_lock:
-            self._features[feature.dataset_id] = feature.copy()
+            self._features[feature.dataset_id] = feature
             self._bump_version()
 
     def get(self, dataset_id: str) -> DatasetFeature:
         try:
-            return self._features[dataset_id].copy()
+            return self._features[dataset_id]
         except KeyError:
             raise DatasetNotFoundError(dataset_id)
 
@@ -692,7 +563,7 @@ class MemoryCatalog(CatalogStore):
         with self._write_lock:
             count = 0
             for feature in features:
-                self._features[feature.dataset_id] = feature.copy()
+                self._features[feature.dataset_id] = feature
                 count += 1
             if count:
                 self._bump_version()
@@ -716,7 +587,7 @@ class MemoryCatalog(CatalogStore):
         with self._write_lock:
             upserted = 0
             for feature in upserts:
-                self._features[feature.dataset_id] = feature.copy()
+                self._features[feature.dataset_id] = feature
                 upserted += 1
             removed = 0
             for dataset_id in removals:
@@ -729,9 +600,7 @@ class MemoryCatalog(CatalogStore):
     def replace_all(self, features: Iterable[DatasetFeature]) -> int:
         # Materialize outside the lock (the source may be a slow store),
         # swap inside it: one bump, no observable emptied state.
-        fresh = {
-            feature.dataset_id: feature.copy() for feature in features
-        }
+        fresh = {feature.dataset_id: feature for feature in features}
         with self._write_lock:
             self._features = fresh
             self._bump_version()
@@ -739,62 +608,4 @@ class MemoryCatalog(CatalogStore):
 
     def features(self) -> Iterator[DatasetFeature]:
         for dataset_id in sorted(self._features):
-            yield self._features[dataset_id].copy()
-
-    # Bulk operations work on internal objects directly; re-upserting a
-    # copy per dataset (the ABC default) would double the work.
-    def rename_variables(
-        self, mapping: dict[str, str], resolution: str = ""
-    ) -> int:
-        with self._write_lock:
-            changed = 0
-            for feature in self._features.values():
-                for entry in feature.variables:
-                    new_name = mapping.get(entry.name)
-                    if new_name is not None and new_name != entry.name:
-                        entry.name = new_name
-                        if resolution:
-                            entry.resolution = resolution
-                        changed += 1
-            if changed:
-                self._bump_version()
-            return changed
-
-    def rename_units(self, mapping: dict[str, str]) -> int:
-        with self._write_lock:
-            changed = 0
-            for feature in self._features.values():
-                for entry in feature.variables:
-                    new_unit = mapping.get(entry.unit)
-                    if new_unit is not None and new_unit != entry.unit:
-                        entry.unit = new_unit
-                        changed += 1
-            if changed:
-                self._bump_version()
-            return changed
-
-    def set_excluded(self, names: Iterable[str], excluded: bool = True) -> int:
-        with self._write_lock:
-            target = set(names)
-            changed = 0
-            for feature in self._features.values():
-                for entry in feature.variables:
-                    if entry.name in target and entry.excluded != excluded:
-                        entry.excluded = excluded
-                        changed += 1
-            if changed:
-                self._bump_version()
-            return changed
-
-    def set_ambiguous(self, names: Iterable[str], flag: bool = True) -> int:
-        with self._write_lock:
-            target = set(names)
-            changed = 0
-            for feature in self._features.values():
-                for entry in feature.variables:
-                    if entry.name in target and entry.ambiguous != flag:
-                        entry.ambiguous = flag
-                        changed += 1
-            if changed:
-                self._bump_version()
-            return changed
+            yield self._features[dataset_id]

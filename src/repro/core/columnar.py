@@ -1,8 +1,8 @@
 """Columnar snapshot scoring: frozen facet columns, two-stage scan.
 
 The object scoring path walks :class:`~repro.catalog.records.DatasetFeature`
-instances — per-query that means a dict lookup, a defensive copy and a
-cascade of attribute reads per dataset.  At catalog scale the hot loop is
+instances — per-query that means a dict lookup and a cascade of
+attribute reads per dataset.  At catalog scale the hot loop is
 dominated by that object traffic, not by the scoring arithmetic.
 
 :class:`ColumnarSnapshot` freezes the numeric facets ranking actually

@@ -338,7 +338,7 @@ class SearchEngine:
         """
         with get_telemetry().span("index.build", size=len(self.catalog)):
             self.indexes = CatalogIndexes.build(
-                list(self.catalog.shared_features()),
+                list(self.catalog.features()),
                 cell_degrees=cell_degrees,
                 catalog_version=self.catalog.version,
             )
@@ -376,10 +376,10 @@ class SearchEngine:
         come from one catalog snapshot, keyed by that snapshot's
         version.  Repeated queries are served from the version-keyed
         LRU cache (when enabled); any catalog mutation bumps the store
-        version and misses past entries.  The cache holds pages without
-        features; every call, hit or miss, attaches fresh copies of the
-        page's features from the snapshot, so a caller mutating one
-        cannot reach the cache, the catalog or another caller.
+        version and misses past entries.  Each result carries the
+        snapshot's own (immutable) feature object, attached once on a
+        miss; every call returns a fresh page list, so a caller that
+        reorders or trims its page cannot reach the cache.
 
         Raises:
             ValueError: if ``limit`` is not positive.
@@ -389,37 +389,17 @@ class SearchEngine:
         telemetry = get_telemetry()
         telemetry.count("search.queries")
         with telemetry.span("search.query", limit=limit) as span:
-            snapshot = self._current_snapshot()
-            results = self._with_features(
-                snapshot, self._search(snapshot, query, limit, span)
+            results = self._search(
+                self._current_snapshot(), query, limit, span
             )
         telemetry.observe("search.query_seconds", span.duration)
         return results
 
-    @staticmethod
-    def _with_features(
-        snapshot: CatalogSnapshot, page: SearchResults
-    ) -> SearchResults:
-        """``page`` with a fresh copy of each result's feature attached."""
-        get = snapshot.get
-        return SearchResults(
-            (
-                SearchResult(
-                    dataset_id=result.dataset_id,
-                    score=result.score,
-                    breakdown=result.breakdown,
-                    feature=get(result.dataset_id),
-                )
-                for result in page
-            ),
-            total_matches=page.total_matches,
-            truncated=page.truncated,
-        )
-
     def _search(
         self, snapshot: CatalogSnapshot, query: Query, limit: int, span
     ) -> SearchResults:
-        """The page for ``query`` without features (what the cache holds)."""
+        """A fresh list of the page for ``query`` (the cache holds its
+        own list of the same results)."""
         telemetry = get_telemetry()
         context = current_request()
         key = self._cache_key(snapshot.version, query, limit)
@@ -435,7 +415,7 @@ class SearchEngine:
                         rows_rescored=0,
                         results=len(cached),
                     )
-                return cached
+                return cached.copy()
             telemetry.count("search.cache_misses")
         if context is not None:
             # score_rows_into adds its rows to these.
@@ -450,11 +430,24 @@ class SearchEngine:
         matches = score_rows_into(
             ColumnarScorer(scorer, view), query, range(len(view)), top
         )
-        results = SearchResults(top.sorted_results(), total_matches=matches)
+        get = snapshot.get
+        results = SearchResults(
+            (
+                SearchResult(
+                    result.dataset_id,
+                    result.score,
+                    result.breakdown,
+                    get(result.dataset_id),
+                )
+                for result in top.sorted_results()
+            ),
+            total_matches=matches,
+        )
         if context is not None:
             context.annotate(results=len(results))
         if self.cache is not None:
             self.cache.put(key, results)
+            return results.copy()
         return results
 
     def stats(self) -> dict:
@@ -545,8 +538,7 @@ class BooleanSearchEngine:
         exact match count — ``len(results) == limit`` alone cannot tell
         a full page from a truncated one.  It reads one catalog
         snapshot, kept across searches while the catalog version holds,
-        so a concurrent writer cannot tear it, and copies only the
-        page's features.
+        so a concurrent writer cannot tear it.
         """
         if limit <= 0:
             raise ValueError("limit must be positive")
@@ -555,7 +547,7 @@ class BooleanSearchEngine:
         snapshot = self._snapshot = _kept_snapshot(
             self.catalog, self._snapshot
         )
-        for feature in snapshot.shared_features():
+        for feature in snapshot.features():
             if not self._matches(query, feature):
                 continue
             total += 1
@@ -565,7 +557,7 @@ class BooleanSearchEngine:
                         dataset_id=feature.dataset_id,
                         score=1.0,
                         breakdown=ScoreBreakdown(total=1.0),
-                        feature=feature.copy(),
+                        feature=feature,
                     )
                 )
         return SearchResults(out, total_matches=total)

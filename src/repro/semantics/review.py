@@ -11,7 +11,7 @@ re-proposed by the same method).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 from .resolver import Resolution, ResolutionMethod
@@ -179,9 +179,9 @@ def queue_from_catalog(
         for entry in feature.variables:
             # Re-resolve from the written form: that is what a fresh run
             # would propose.
-            probe = entry.copy()
-            probe.name = entry.written_name
-            probe.unit = entry.written_unit
+            probe = replace(
+                entry, name=entry.written_name, unit=entry.written_unit
+            )
             resolution = resolver.resolve_entry(
                 probe, platform, feature.dataset_id
             )

@@ -8,7 +8,7 @@ cross-check the scanned footprints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from ..archive.generator import parse_station_registry
 from ..archive.render import STATION_REGISTRY_PATH
@@ -38,38 +38,31 @@ class AddExternalMetadata(Component):
             return
         state.stations = stations
         by_id = {s.station_id: s for s in stations}
-        for dataset_id in state.working.dataset_ids():
-            feature = state.working.get(dataset_id)
+        replacements = []
+        for feature in state.working.features():
             report.items_seen += 1
             station_id = feature.attributes.get("station")
             if station_id is None or station_id not in by_id:
                 continue
             station = by_id[station_id]
-            touched = False
-            if feature.attributes.get("station_name") != station.name:
-                feature.attributes["station_name"] = station.name
-                touched = True
+            attributes = dict(feature.attributes)
+            if attributes.get("station_name") != station.name:
+                attributes["station_name"] = station.name
                 report.changes += 1
-            if (
-                feature.attributes.get("station_description")
-                != station.description
-            ):
-                feature.attributes["station_description"] = (
-                    station.description
-                )
-                touched = True
+            attributes["station_description"] = station.description
             # Cross-check: scanned footprint vs registry position.
             registry_point = GeoPoint(station.lat, station.lon)
             distance = feature.bbox.distance_km_to_point(registry_point)
             if distance > self.max_position_discrepancy_km:
                 message = (
-                    f"{dataset_id}: scanned footprint {distance:.1f} km "
-                    f"from registry position of {station_id}"
+                    f"{feature.dataset_id}: scanned footprint "
+                    f"{distance:.1f} km from registry position of "
+                    f"{station_id}"
                 )
                 report.add(message)
-                if feature.attributes.get("position_flag") != "discrepant":
-                    feature.attributes["position_flag"] = "discrepant"
-                    touched = True
-            if touched:
-                state.working.upsert(feature)
+                attributes["position_flag"] = "discrepant"
+            if attributes != feature.attributes:
+                replacements.append(replace(feature, attributes=attributes))
+        if replacements:
+            state.working.upsert_many(replacements)
         report.add(f"registry has {len(stations)} stations")

@@ -16,9 +16,10 @@ left" that discovery then attacks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from ..archive.vocabulary import VOCABULARY, preferred_unit
+from ..catalog.records import VariableEntry
 from ..semantics import AmbiguityAction, ResolutionMethod, UnitRegistry
 from .component import Component, ComponentReport
 from .state import WranglingState
@@ -36,37 +37,53 @@ class PerformKnownTransformations(Component):
     name = "known-transformations"
 
     @staticmethod
-    def _convert_entry_units(entry, units: UnitRegistry) -> bool:
-        """Convert an entry's statistics to its canonical unit when the
-        source reported a convertible foreign unit (degF temperatures,
-        knots wind).  Returns True when a conversion was applied."""
-        var = VOCABULARY.get(entry.name)
+    def _converted(
+        entry: VariableEntry, name: str, unit: str, units: UnitRegistry
+    ) -> tuple[str, float, float, float, float] | None:
+        """The entry's unit and statistics (minimum, maximum, mean,
+        stddev) converted to ``name``'s canonical unit when the source
+        reported a convertible foreign ``unit`` (degF temperatures,
+        knots wind); ``None`` when no conversion applies."""
+        var = VOCABULARY.get(name)
         if var is None or entry.count == 0:
-            return False
-        current = units.normalize(entry.unit)
+            return None
+        current = units.normalize(unit)
         target = var.unit
         if current == target or not units.convertible(current, target):
-            return False
+            return None
         lo = units.convert(entry.minimum, current, target)
         hi = units.convert(entry.maximum, current, target)
-        entry.minimum, entry.maximum = min(lo, hi), max(lo, hi)
-        entry.mean = units.convert(entry.mean, current, target)
         scale = abs(
             units.convert(1.0, current, target)
             - units.convert(0.0, current, target)
         )
-        entry.stddev = entry.stddev * scale
-        entry.unit = target
-        return True
+        return (
+            target,
+            min(lo, hi),
+            max(lo, hi),
+            units.convert(entry.mean, current, target),
+            entry.stddev * scale,
+        )
 
     def run(self, state: WranglingState, report: ComponentReport) -> None:
         resolver = state.resolver
         units = UnitRegistry()
-        for dataset_id in state.working.dataset_ids():
-            feature = state.working.get(dataset_id)
+        replacements = []
+        for feature in state.working.features():
+            dataset_id = feature.dataset_id
+            context = resolver.context_rules.context_of_platform(
+                feature.platform
+            )
+            variables = list(feature.variables)
             touched = False
-            for entry in feature.variables:
+            for position, entry in enumerate(variables):
                 report.items_seen += 1
+                # The entry's new fields; one replacement is built at
+                # the end if any of them moved.
+                name, unit, label = entry.name, entry.unit, entry.resolution
+                excluded, ambiguous = entry.excluded, entry.ambiguous
+                stats = entry.minimum, entry.maximum, entry.mean, entry.stddev
+                changed = entry.context != context
                 # Evidence-based resolution runs first; curator decisions
                 # are the fallback for what evidence cannot tame.  This
                 # ordering makes re-runs deterministic no matter *when*
@@ -75,71 +92,76 @@ class PerformKnownTransformations(Component):
                 resolution = resolver.resolve_entry(
                     entry, feature.platform, dataset_id
                 )
-                if resolution.resolved and resolution.canonical != entry.name:
-                    entry.name = resolution.canonical
-                    entry.resolution = resolution.method.value
+                if resolution.resolved and resolution.canonical != name:
+                    name = resolution.canonical
+                    label = resolution.method.value
                     report.changes += 1
-                    touched = True
+                    changed = True
                 elif not resolution.resolved and self.apply_decisions:
-                    decision = self._decision_for(
-                        state, dataset_id, entry.name
-                    )
+                    decision = self._decision_for(state, dataset_id, name)
                     if decision is not None:
                         if decision.action is AmbiguityAction.CLARIFY:
-                            if entry.name != decision.canonical:
-                                entry.name = (
-                                    decision.canonical or entry.name
-                                )
-                                entry.resolution = (
-                                    ResolutionMethod.CURATOR.value
-                                )
-                                entry.ambiguous = False
-                                touched = True
+                            if name != decision.canonical:
+                                name = decision.canonical or name
+                                label = ResolutionMethod.CURATOR.value
+                                ambiguous = False
+                                changed = True
                                 report.changes += 1
                         elif decision.action is AmbiguityAction.HIDE:
-                            if not entry.excluded:
-                                entry.excluded = True
-                                entry.ambiguous = False
-                                touched = True
+                            if not excluded:
+                                excluded = True
+                                ambiguous = False
+                                changed = True
                                 report.changes += 1
                         else:  # LEAVE: flagged but untouched
-                            if not entry.ambiguous:
-                                entry.ambiguous = True
-                                touched = True
+                            if not ambiguous:
+                                ambiguous = True
+                                changed = True
                         resolution = None  # decision handled the entry
                 if resolution is not None and resolution.ambiguous and not (
-                    entry.ambiguous or entry.excluded
+                    ambiguous or excluded
                 ):
-                    entry.ambiguous = True
-                    touched = True
+                    ambiguous = True
+                    changed = True
                 if self.mark_excessive and resolution is not None:
                     auxiliary = resolution.auxiliary or (
                         resolution.canonical is None
-                        and resolver.exclusion.is_auxiliary(entry.name)
+                        and resolver.exclusion.is_auxiliary(name)
                     )
-                    if auxiliary and not entry.excluded:
-                        entry.excluded = True
+                    if auxiliary and not excluded:
+                        excluded = True
                         report.changes += 1
-                        touched = True
+                        changed = True
                 if self.normalize_units:
-                    normalized = preferred_unit(entry.unit)
-                    if normalized != entry.unit:
-                        entry.unit = normalized
+                    normalized = preferred_unit(unit)
+                    if normalized != unit:
+                        unit = normalized
                         report.changes += 1
-                        touched = True
-                if self.convert_units and self._convert_entry_units(
-                    entry, units
-                ):
-                    report.changes += 1
-                    touched = True
-                context = resolver.context_rules.context_of_platform(
-                    feature.platform
-                )
-                if entry.context != context:
-                    entry.context = context
+                        changed = True
+                if self.convert_units:
+                    converted = self._converted(entry, name, unit, units)
+                    if converted is not None:
+                        unit, *stats = converted
+                        report.changes += 1
+                        changed = True
+                if changed:
+                    variables[position] = VariableEntry(
+                        entry.written_name,
+                        entry.written_unit,
+                        name,
+                        unit,
+                        entry.count,
+                        *stats,
+                        excluded,
+                        ambiguous,
+                        context,
+                        label,
+                    )
                     touched = True
             if touched:
-                state.working.upsert(feature)
+                replacements.append(replace(feature, variables=variables))
+        if replacements:
+            state.working.upsert_many(replacements)
         report.add(f"resolved entries across {len(state.working)} datasets")
 
     @staticmethod

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -50,12 +51,16 @@ class TestRoundTrip:
 
     def test_nan_statistics_encode_as_null(self, raw_catalog):
         feature = raw_catalog.get(raw_catalog.dataset_ids()[0])
-        feature.variables[0].minimum = math.nan
-        feature.variables[0].maximum = math.nan
-        feature.variables[0].mean = math.nan
-        feature.variables[0].stddev = math.nan
-        feature.variables[0].count = 0
-        raw_catalog.upsert(feature)
+        first, *rest = feature.variables
+        first = replace(
+            first,
+            minimum=math.nan,
+            maximum=math.nan,
+            mean=math.nan,
+            stddev=math.nan,
+            count=0,
+        )
+        raw_catalog.upsert(replace(feature, variables=[first, *rest]))
         text = dump_catalog(raw_catalog)
         json.loads(text)  # must not contain bare NaN tokens
         restored = MemoryCatalog()
@@ -65,10 +70,11 @@ class TestRoundTrip:
 
     def test_flags_preserved(self, raw_catalog):
         feature = raw_catalog.get(raw_catalog.dataset_ids()[0])
-        feature.variables[0].excluded = True
-        feature.variables[0].ambiguous = True
-        feature.variables[0].resolution = "curator"
-        raw_catalog.upsert(feature)
+        first, *rest = feature.variables
+        first = replace(
+            first, excluded=True, ambiguous=True, resolution="curator"
+        )
+        raw_catalog.upsert(replace(feature, variables=[first, *rest]))
         restored = MemoryCatalog()
         load_catalog(dump_catalog(raw_catalog), restored)
         entry = restored.get(feature.dataset_id).variables[0]

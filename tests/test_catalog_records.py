@@ -1,5 +1,8 @@
 """Unit tests for repro.catalog.records."""
 
+import pickle
+from dataclasses import FrozenInstanceError, replace
+
 import pytest
 
 from repro.catalog import DatasetFeature, VariableEntry
@@ -57,14 +60,21 @@ class TestVariableEntry:
 
     def test_copy_is_independent(self):
         entry = make_entry()
-        clone = entry.copy()
-        clone.name = "renamed"
+        clone = replace(entry, name="renamed")
         assert entry.name == "salinity"
+        assert clone.name == "renamed"
 
     def test_rename_preserves_written(self):
+        renamed = replace(make_entry(), name="salinity_canonical")
+        assert renamed.written_name == "salinity"
+
+    def test_fields_cannot_be_assigned(self):
         entry = make_entry()
-        entry.name = "salinity_canonical"
-        assert entry.written_name == "salinity"
+        with pytest.raises(FrozenInstanceError):
+            entry.name = "renamed"
+        with pytest.raises(FrozenInstanceError):
+            entry.excluded = True
+        assert entry == make_entry()
 
 
 class TestDatasetFeature:
@@ -86,10 +96,34 @@ class TestDatasetFeature:
         assert names == ["salinity"]
         assert len(feature.variable_names()) == 2
 
-    def test_copy_deep_enough(self):
+    def test_record_is_immutable(self):
         feature = make_feature()
-        clone = feature.copy()
-        clone.variables[0].name = "changed"
-        clone.attributes["station"] = "y"
-        assert feature.variables[0].name == "salinity"
-        assert feature.attributes["station"] == "x"
+        with pytest.raises(FrozenInstanceError):
+            feature.title = "changed"
+        with pytest.raises(FrozenInstanceError):
+            feature.variables[0].name = "changed"
+        with pytest.raises(AttributeError):
+            feature.variables.append(make_entry("depth"))
+        with pytest.raises(TypeError):
+            feature.variables[0] = make_entry("depth")
+        with pytest.raises(TypeError):
+            feature.attributes["station"] = "y"
+        assert feature == make_feature()
+
+    def test_constructor_takes_private_containers(self):
+        # Lists and dicts are accepted (perfbench builds features from
+        # them) and stored as a tuple and a read-only view of a copy, so
+        # the caller's containers cannot reach the record.
+        variables = [make_entry()]
+        attributes = {"station": "x"}
+        feature = make_feature(variables)
+        feature = replace(feature, attributes=attributes)
+        variables.append(make_entry("depth"))
+        attributes["station"] = "y"
+        assert type(feature.variables) is tuple
+        assert feature.variable_names() == ["salinity"]
+        assert feature.attributes == {"station": "x"}
+
+    def test_pickles_and_equals_itself(self):
+        feature = make_feature()
+        assert pickle.loads(pickle.dumps(feature)) == feature

@@ -1,6 +1,8 @@
 """Unit tests for both catalog stores (memory and SQLite), parametrized
 so the two implementations prove behaviourally identical."""
 
+from dataclasses import FrozenInstanceError, replace
+
 import pytest
 
 from repro.catalog import (
@@ -89,11 +91,18 @@ class TestCrud:
         assert store.contains("d1")
         assert not store.contains("d2")
 
-    def test_get_returns_copy(self, store):
+    def test_get_returns_an_immutable_record(self, store):
         store.upsert(make_feature())
         loaded = store.get("d1")
-        loaded.variables[0].name = "mutated"
-        assert store.get("d1").variables[0].name == "salinity"
+        with pytest.raises(FrozenInstanceError):
+            loaded.title = "mutated"
+        with pytest.raises(FrozenInstanceError):
+            loaded.variables[0].name = "mutated"
+        with pytest.raises(AttributeError):
+            loaded.variables.append(loaded.variables[0])
+        with pytest.raises(TypeError):
+            loaded.attributes["station"] = "y"
+        assert store.get("d1") == make_feature()
 
     def test_iteration_yields_all(self, store):
         store.upsert(make_feature("a"))
@@ -119,29 +128,37 @@ class TestBulkOperations:
         assert store.rename_variables({"salinity": "salinity"}) == 0
         assert store.rename_variables({"absent": "x"}) == 0
 
-    def test_rename_units(self, store):
-        store.upsert(make_feature())
-        changed = store.rename_units({"PSU": "psu-preferred"})
+    def test_rename_is_one_batch_equal_to_a_cold_store(self, store):
+        store.upsert_many(
+            [make_feature("a"), make_feature("b", ("depth",)), make_feature("c")]
+        )
+        before = store.snapshot()
+        version = store.version
+        changed = store.rename_variables(
+            {"salinity": "practical_salinity"}, resolution="test"
+        )
         assert changed == 2
-        assert store.get("d1").variables[0].unit == "psu-preferred"
-
-    def test_set_excluded(self, store):
-        store.upsert(make_feature())
-        assert store.set_excluded(["depth"]) == 1
-        assert store.get("d1").variable("depth").excluded
-        # Idempotent: already excluded entries do not count again.
-        assert store.set_excluded(["depth"]) == 0
-
-    def test_set_excluded_off(self, store):
-        store.upsert(make_feature())
-        store.set_excluded(["depth"])
-        assert store.set_excluded(["depth"], excluded=False) == 1
-        assert not store.get("d1").variable("depth").excluded
-
-    def test_set_ambiguous(self, store):
-        store.upsert(make_feature())
-        assert store.set_ambiguous(["salinity"]) == 1
-        assert store.get("d1").variable("salinity").ambiguous
+        assert store.version == version + 1
+        # A store written cold with the renamed features holds the same.
+        cold = MemoryCatalog()
+        for feature in before.features():
+            cold.upsert(
+                replace(
+                    feature,
+                    variables=[
+                        replace(v, name="practical_salinity", resolution="test")
+                        if v.name == "salinity"
+                        else v
+                        for v in feature.variables
+                    ],
+                )
+            )
+        assert list(store.features()) == list(cold.features())
+        assert store.get("b") == before.get("b")  # untouched
+        # The earlier snapshot keeps the old features.
+        assert before.version == version
+        assert before.get("a") == make_feature("a")
+        assert before.get("c").variable_names() == ["salinity", "depth"]
 
     def test_variable_name_counts(self, store):
         store.upsert(make_feature("a"))

@@ -78,28 +78,9 @@ class TestVersionCounter:
         before = store.version
         assert store.rename_variables({"water_temp": "water_temperature"})
         bumped = store.version
-        assert bumped > before
+        assert bumped == before + 1
         assert store.rename_variables({"absent": "whatever"}) == 0
         assert store.version == bumped
-
-    def test_set_excluded_bumps_only_on_change(self, store):
-        store.upsert(feature("a", name="qa_level"))
-        before = store.version
-        assert store.set_excluded(["qa_level"]) == 1
-        bumped = store.version
-        assert bumped > before
-        # Already excluded: nothing changes, no bump.
-        assert store.set_excluded(["qa_level"]) == 0
-        assert store.version == bumped
-
-    def test_rename_units_and_ambiguous_bump(self, store):
-        store.upsert(feature("a"))
-        before = store.version
-        assert store.rename_units({"degC": "celsius"}) == 1
-        assert store.version > before
-        before = store.version
-        assert store.set_ambiguous(["water_temperature"]) == 1
-        assert store.version > before
 
 
 class TestSqlitePersistence:

@@ -1,5 +1,7 @@
 """The query cache, version-keyed invalidation, and staleness fixes."""
 
+from dataclasses import FrozenInstanceError
+
 import pytest
 
 from repro.catalog import DatasetFeature, MemoryCatalog, VariableEntry
@@ -155,28 +157,34 @@ class TestEngineCache:
         assert engine.cache.stats()["misses"] == 2
 
 
-    def test_hits_hand_out_fresh_feature_copies(self, catalog):
-        """The cache holds pages without features; every call attaches
-        fresh copies, so mutating one reaches neither a later hit nor
-        the snapshot."""
+    def test_hits_hand_out_the_snapshots_own_features(self, catalog):
+        """A miss attaches the snapshot's feature objects once and caches
+        that page; a hit hands out the same objects in a fresh list, so
+        a caller reordering its page cannot reach the cache, and a
+        mutation attempt raises."""
         snapshot = catalog.snapshot()
         engine = SearchEngine(snapshot)
         first = engine.search(query())
+        assert all(
+            result.feature is snapshot.get(result.dataset_id)
+            for result in first
+        )
         victim = first[0].dataset_id
-        first[0].feature.title = "mutated"
-        first[0].feature.variables.clear()
+        with pytest.raises(FrozenInstanceError):
+            first[0].feature.title = "mutated"
+        with pytest.raises(AttributeError):
+            first[0].feature.variables.clear()
+        first.reverse()
+        first.clear()
         second = engine.search(query())
         assert engine.cache.stats()["hits"] == 1
         assert second[0].dataset_id == victim
-        assert second[0].feature is not first[0].feature
-        assert second[0].feature == snapshot.get(victim)
-        assert snapshot.get(victim).title == victim
-        assert snapshot.get(victim).variables
-        assert all(
-            result.feature is None
-            for __, cached in engine.cache.items()
-            for result in cached
-        )
+        assert second[0].feature is snapshot.get(victim)
+        assert second[0].feature.title == victim
+        assert second is not engine.search(query())
+        assert [r.dataset_id for r in second] == [
+            r.dataset_id for r in engine.search(query())
+        ]
 
     def test_hierarchy_key_survives_address_reuse(self, catalog):
         """Regression: cache keys held ``id(hierarchy)``, so a hierarchy

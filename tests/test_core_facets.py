@@ -1,5 +1,7 @@
 """Unit tests for repro.core.facets."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.catalog import MemoryCatalog
@@ -45,8 +47,10 @@ class TestComputeFacets:
 
     def test_excluded_variables_not_counted(self, catalog):
         f = catalog.get("a")
-        f.variables[0].excluded = True
-        catalog.upsert(f)
+        first, *rest = f.variables
+        catalog.upsert(
+            replace(f, variables=[replace(first, excluded=True), *rest])
+        )
         facets = compute_facets(catalog)
         assert "water_temperature" not in facets.variables
 
@@ -69,8 +73,10 @@ class TestHierarchyCounts:
 
     def test_unknown_names_ignored(self, catalog):
         f = catalog.get("c")
-        f.variables[0].name = "mystery_sensor"
-        catalog.upsert(f)
+        first, *rest = f.variables
+        catalog.upsert(
+            replace(f, variables=[replace(first, name="mystery_sensor"), *rest])
+        )
         counts = hierarchy_counts(catalog, vocabulary_hierarchy())
         assert "mystery_sensor" not in counts
 

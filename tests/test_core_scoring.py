@@ -1,6 +1,7 @@
 """Unit tests for repro.core.scoring (distance-based similarity)."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -185,10 +186,12 @@ class TestVariableTermSimilarity:
         ) == 1.0
 
     def test_excluded_variables_ignored(self):
-        entry = VariableEntry.from_written(
-            "qa_level", "1", 10, 0.0, 2.0, 1.0, 0.5
+        entry = replace(
+            VariableEntry.from_written(
+                "qa_level", "1", 10, 0.0, 2.0, 1.0, 0.5
+            ),
+            excluded=True,
         )
-        entry.excluded = True
         feature = make_feature(variables=[entry])
         term = VariableTerm("qa_level")
         assert variable_term_similarity(

@@ -1,5 +1,7 @@
 """Unit tests for repro.core.summary."""
 
+from dataclasses import replace
+
 from repro.catalog import DatasetFeature, VariableEntry
 from repro.core import summarize
 from repro.geo import BoundingBox, TimeInterval
@@ -12,15 +14,15 @@ def make_feature(point_footprint=True):
         if point_footprint
         else BoundingBox(46.0, -124.0, 46.3, -123.5)
     )
-    searchable = VariableEntry.from_written(
-        "salt", "psu", 10, 0.0, 30.0, 15.0, 3.0
+    searchable = replace(
+        VariableEntry.from_written("salt", "psu", 10, 0.0, 30.0, 15.0, 3.0),
+        name="salinity",
+        unit="PSU",
     )
-    searchable.name = "salinity"
-    searchable.unit = "PSU"
-    excluded = VariableEntry.from_written(
-        "qa_level", "1", 10, 0.0, 2.0, 1.0, 0.5
+    excluded = replace(
+        VariableEntry.from_written("qa_level", "1", 10, 0.0, 2.0, 1.0, 0.5),
+        excluded=True,
     )
-    excluded.excluded = True
     return DatasetFeature(
         dataset_id="stations/x/x.csv",
         title="Station X",

@@ -170,16 +170,17 @@ class TestCopyFreeIndexing:
     """The serving path is one array pass: a cache miss scores every
     row through one ``score_rows_into`` call, and neither the service's
     builds and refreshes nor a search build, copy, apply or query a
-    candidate index, or copy a feature.  (``catalog/index.py`` and the
-    SQLite range scans still exist; nothing on this path calls them.)"""
+    candidate index.  (``catalog/index.py`` and the SQLite range scans
+    still exist; nothing on this path calls them.)  No feature is
+    copied either: records are immutable and have no copy method."""
 
     SIZE = 200
     QUERY = "near 45.5, -124.4 within 50 km with salinity between 5 and 10"
 
     @staticmethod
     def _count_calls(monkeypatch) -> list:
-        """Record a call to each index or candidate entry point, and to
-        ``DatasetFeature.copy``, without changing what they do."""
+        """Record a call to each index or candidate entry point, without
+        changing what they do."""
         calls = []
         targets = [
             (CatalogIndexes, "build"),
@@ -189,7 +190,6 @@ class TestCopyFreeIndexing:
             (IntervalIndex, "candidates_overlapping"),
             (SqliteCatalog, "prefilter_candidates_near"),
             (SqliteCatalog, "prefilter_candidates_overlapping"),
-            (DatasetFeature, "copy"),
         ]
         for owner, attr in targets:
             original = getattr(owner, attr)
@@ -215,10 +215,6 @@ class TestCopyFreeIndexing:
 
         monkeypatch.setattr(core_search, "score_rows_into", counting)
         return scans
-
-    @staticmethod
-    def _index_calls(calls: list) -> list:
-        return [c for c in calls if not c.startswith("DatasetFeature")]
 
     def _service(self, store):
         return SearchService(
@@ -277,7 +273,7 @@ class TestCopyFreeIndexing:
                 assert service.telemetry.counter(
                     "refresh.full_rebuilds"
                 ) == 1
-                assert self._index_calls(calls) == []
+                assert calls == []
                 assert service._engine.indexes is None
             finally:
                 service.close()
@@ -291,8 +287,7 @@ class TestCopyFreeIndexing:
                 response = service.search(parse_query(self.QUERY), limit=5)
                 assert response.results
                 assert scans == [(range(self.SIZE), self.SIZE)]
-                # (The page itself carries copies of its features.)
-                assert self._index_calls(calls) == []
+                assert calls == []
                 # A hit scores nothing.
                 service.search(parse_query(self.QUERY), limit=5)
                 assert len(scans) == 1
@@ -317,5 +312,5 @@ class TestCopyFreeIndexing:
         assert main(["search", path, self.QUERY, "--limit", "5"]) == 0
         assert capsys.readouterr().out == expected + "\n"
         assert reference.total_matches > len(reference) > 0
-        assert self._index_calls(calls) == []
+        assert calls == []
         assert scans == [(range(self.SIZE), self.SIZE)]

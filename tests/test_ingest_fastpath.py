@@ -11,6 +11,7 @@ Three contracts guard the scan→publish half of the system:
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -185,8 +186,7 @@ class TestDigestCachedPublish:
         chain.run(state)
         # Mutate the published store behind the publish step's back.
         tampered = state.published.get("dir0/ds_000.csv")
-        tampered.title = "tampered"
-        state.published.upsert(tampered)
+        state.published.upsert(replace(tampered, title="tampered"))
         __, digests = run_counting_digests(chain, state)
         assert digests > 0
         assert state.published.get("dir0/ds_000.csv").title == "DS 0"

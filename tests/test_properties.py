@@ -2,6 +2,7 @@
 invariants: distances, fingerprints, intervals, boxes, scoring, stores."""
 
 import math
+from dataclasses import replace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -219,10 +220,10 @@ class TestStoreProperties:
     def test_upsert_then_ids_sorted_unique(self, dataset_ids):
         store = MemoryCatalog()
         for dataset_id in dataset_ids:
-            store.upsert(_feature(0, 0, 0, 1, 0, 1).copy())
-            feature = _feature(0, 0, 0, 1, 0, 1)
-            feature.dataset_id = dataset_id
-            store.upsert(feature)
+            store.upsert(_feature(0, 0, 0, 1, 0, 1))
+            store.upsert(
+                replace(_feature(0, 0, 0, 1, 0, 1), dataset_id=dataset_id)
+            )
         ids = store.dataset_ids()
         assert ids == sorted(set(ids))
         assert set(dataset_ids) <= set(ids)
@@ -234,11 +235,13 @@ class TestStoreProperties:
     ))
     def test_rename_is_complete(self, mapping):
         store = MemoryCatalog()
-        feature = _feature(0, 0, 0, 1, 0, 1)
-        feature.variables = [
-            VariableEntry.from_written(name, "m", 1, 0, 1, 0.5, 0.1)
-            for name in mapping
-        ]
+        feature = replace(
+            _feature(0, 0, 0, 1, 0, 1),
+            variables=[
+                VariableEntry.from_written(name, "m", 1, 0, 1, 0.5, 0.1)
+                for name in mapping
+            ],
+        )
         store.upsert(feature)
         store.rename_variables(mapping)
         remaining = set(store.variable_name_counts())

@@ -207,8 +207,8 @@ class WriteAfterSnapshot(MemoryCatalog):
         super().__init__()
         self.queued: list[DatasetFeature] = []
 
-    def snapshot(self, attempts: int = 16):
-        snapshot = super().snapshot(attempts)
+    def snapshot(self):
+        snapshot = super().snapshot()
         while self.queued:
             self.upsert(self.queued.pop())
         return snapshot

@@ -26,6 +26,7 @@ catalog.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import given, settings
@@ -63,8 +64,7 @@ def variables(draw):
         name, "u", draw(st.sampled_from([0, 10])),
         minimum, maximum, 0.0, 1.0,
     )
-    entry.excluded = draw(st.integers(0, 4)) == 0
-    return entry
+    return replace(entry, excluded=draw(st.integers(0, 4)) == 0)
 
 
 @st.composite
@@ -241,8 +241,10 @@ def test_sparse_variable_pass_edge_rows():
     salinity = VariableEntry.from_written("salinity", "u", 10, 0.0, 1.0, 0.5, 0.1)
     empty_count = VariableEntry.from_written("salinity", "u", 0, 0.0, 30.0, 1.0, 1.0)
     nan_minimum = VariableEntry.from_written("salinity", "u", 10, math.nan, 30.0, 1.0, 1.0)
-    excluded = VariableEntry.from_written("salinity", "u", 10, 10.0, 20.0, 1.0, 1.0)
-    excluded.excluded = True
+    excluded = replace(
+        VariableEntry.from_written("salinity", "u", 10, 10.0, 20.0, 1.0, 1.0),
+        excluded=True,
+    )
     wind = VariableEntry.from_written("wind", "u", 10, 12.0, 18.0, 1.0, 1.0)
     feats = [
         _feature(0, []),                        # no variables
@@ -250,7 +252,7 @@ def test_sparse_variable_pass_edge_rows():
         _feature(2, [empty_count]),             # count == 0
         _feature(3, [nan_minimum]),             # NaN minimum
         _feature(4, [salinity]),                # match only by range decay
-        _feature(5, [wind, salinity.copy()]),   # decayed match beside a hit
+        _feature(5, [wind, salinity]),          # decayed match beside a hit
         _feature(6, [wind]),                    # no salinity at all
     ]
     view = ColumnarSnapshot(feats, version=1)
@@ -356,7 +358,7 @@ def test_empty_segments_score_zero_wherever_they_sit():
         _feature(0, []),
         _feature(1, [entry]),
         _feature(2, []),
-        _feature(3, [entry.copy(), entry.copy()]),
+        _feature(3, [entry, entry]),
         _feature(4, []),
     ]
     view = ColumnarSnapshot(feats, version=1)
@@ -389,7 +391,7 @@ def test_empty_catalog_scans_nothing():
 
 def test_column_arrays_are_pinned_zero_copy_views():
     entry = VariableEntry.from_written("salinity", "u", 10, 0.0, 30.0, 1.0, 1.0)
-    feats = [_feature(i, [entry.copy()] * (i % 3)) for i in range(7)]
+    feats = [_feature(i, [entry] * (i % 3)) for i in range(7)]
     view = ColumnarSnapshot(feats, version=3)
     cols = view.arrays()
     assert view.arrays() is cols

@@ -4,16 +4,16 @@ Every batched write of ``SqliteCatalog`` binds all of its rows to one
 ``executemany`` per table.  These tests pin what that must preserve —
 the last occurrence of a duplicate id wins, as on ``MemoryCatalog``,
 and a store that only *looks* empty still replaces the rows another
-connection wrote — that a mirror entry built straight from its input
+connection wrote — that a mirror entry found straight from its input
 feature equals a disk read, and that the number of statements a batch
 issues does not depend on its size.  Catalog files written with the
-range indexes of older builds lose them on open and read back
-unchanged.
+indexes of older builds lose them on open and read back unchanged.
 """
 
 from __future__ import annotations
 
 import sqlite3
+from dataclasses import replace
 
 import pytest
 
@@ -53,7 +53,7 @@ def fresh_read(path: str) -> dict[str, DatasetFeature]:
 
 def served(store) -> dict[str, DatasetFeature]:
     snapshot = store.snapshot()
-    return {f.dataset_id: f for f in snapshot.shared_features()}
+    return {f.dataset_id: f for f in snapshot.features()}
 
 
 def duplicate_batch() -> list[DatasetFeature]:
@@ -131,27 +131,39 @@ class TestDuplicateIds:
 
 
 def test_mirror_entry_built_from_the_input(tmp_path):
-    """On the fast path the entry shares the input's frozen box and
-    interval, owns its variables, and stores a zero statistic as a read
-    returns it; off it (an int coordinate) the bound row is decoded.
-    Both equal a fresh connection's read, type for type."""
+    """On the fast path the entry is the input feature itself; a
+    replacement is built only to store a zero statistic as a read
+    returns it (only that variable is new) or to sort the attributes as
+    a read decodes them.  Off it (an int coordinate) the bound row is
+    decoded.  All equal a fresh connection's read, type for type."""
     path = str(tmp_path / "c.db")
-    fast = make_feature("fast")
-    fast.variables[0].mean = -0.0
-    slow = make_feature("slow")
-    slow.bbox = BoundingBox(46, -124, 47, -123)
+    nonzero = [replace(v, minimum=1.0) for v in make_feature("x").variables]
+    shared = replace(make_feature("shared"), variables=nonzero)
+    zero = replace(
+        make_feature("zero"),
+        variables=[replace(nonzero[0], mean=-0.0), nonzero[1]],
+    )
+    unsorted = replace(
+        make_feature("unsorted"),
+        attributes={"b": "1", "a": "2"},
+        variables=nonzero,
+    )
+    slow = replace(make_feature("slow"), bbox=BoundingBox(46, -124, 47, -123))
     with SqliteCatalog(path) as store:
-        store.upsert_many([fast, slow])
-        fast.variables[0].name = "renamed after the write"
+        store.upsert_many([shared, zero, unsorted, slow])
         mirrored = served(store)
         disk = fresh_read(path)
-    entry = mirrored["fast"]
-    assert entry.bbox is fast.bbox and entry.interval is fast.interval
-    assert entry.variables[0] is not fast.variables[0]
-    assert entry.variables[0].name == "v0"
+    assert mirrored["shared"] is shared
+    entry = mirrored["zero"]
+    assert entry.bbox is zero.bbox and entry.interval is zero.interval
+    assert entry.variables[0] is not zero.variables[0]
+    assert entry.variables[1] is zero.variables[1]
     assert str(entry.variables[0].mean) == "0.0"
+    assert list(mirrored["unsorted"].attributes) == ["a", "b"]
+    assert mirrored["unsorted"].variables == unsorted.variables
     assert type(mirrored["slow"].bbox.min_lat) is float
     assert mirrored == disk
+    assert list(disk["unsorted"].attributes) == ["a", "b"]
     for dataset_id in mirrored:
         for mine, read in zip(
             mirrored[dataset_id].variables, disk[dataset_id].variables
@@ -305,6 +317,7 @@ CREATE INDEX IF NOT EXISTS idx_datasets_bbox
     ON datasets(min_lat, max_lat, min_lon, max_lon);
 CREATE INDEX IF NOT EXISTS idx_datasets_time
     ON datasets(time_start, time_end);
+CREATE INDEX IF NOT EXISTS idx_variables_name ON variables(name);
 """
 
 
@@ -333,9 +346,11 @@ def test_old_range_indexes_are_dropped_on_open(tmp_path):
     conn = sqlite3.connect(path)
     conn.executescript(_OLD_RANGE_INDEXES)  # as an older build leaves it
     conn.close()
-    assert {"idx_datasets_bbox", "idx_datasets_time"} <= indexes(path)
+    assert {
+        "idx_datasets_bbox", "idx_datasets_time", "idx_variables_name"
+    } <= indexes(path)
 
     with SqliteCatalog(path) as reopened:
-        assert indexes(path) == {"idx_variables_name"}
+        assert indexes(path) == set()
         assert {f.dataset_id: f for f in reopened.features()} == written
         assert served(reopened) == written

@@ -2,7 +2,7 @@
 
 Random operation sequences applied to a MemoryCatalog and a SqliteCatalog
 must leave both in the same observable state — ids, features, variable
-names, exclusion flags.  This is what lets the rest of the system treat
+names and their provenance.  This is what lets the rest of the system treat
 ``CatalogStore`` as one thing.
 """
 
@@ -50,10 +50,6 @@ operations = st.one_of(
     st.tuples(st.just("remove_many"),
               st.lists(ids, max_size=3)),
     st.tuples(st.just("rename"), names, names),
-    st.tuples(st.just("exclude"), names),
-    st.tuples(st.just("unexclude"), names),
-    st.tuples(st.just("ambiguous"), names),
-    st.tuples(st.just("rename_units"), st.just("u"), st.just("v")),
 )
 
 
@@ -74,14 +70,6 @@ def apply(store, op):
         return store.remove_many(op[1])
     elif kind == "rename":
         return store.rename_variables({op[1]: op[2]}, resolution="p")
-    elif kind == "exclude":
-        return store.set_excluded([op[1]], True)
-    elif kind == "unexclude":
-        return store.set_excluded([op[1]], False)
-    elif kind == "ambiguous":
-        return store.set_ambiguous([op[1]], True)
-    elif kind == "rename_units":
-        return store.rename_units({op[1]: op[2]})
     return None
 
 
@@ -152,9 +140,9 @@ class TestBatchOperations:
             make_feature("c", ("qa_level",)),
         ]
         for batched, looped in zip(each_store(), each_store()):
-            assert batched.upsert_many(f.copy() for f in features) == 3
+            assert batched.upsert_many(iter(features)) == 3
             for feature in features:
-                looped.upsert(feature.copy())
+                looped.upsert(feature)
             assert observable(batched) == observable(looped)
             assert batched.remove_many(["a", "c", "ghost"]) == 2
             for dataset_id in ["a", "c"]:

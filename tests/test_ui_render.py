@@ -1,5 +1,7 @@
 """Unit tests for repro.ui.render."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core import Query, SearchEngine, VariableTerm, summarize
@@ -19,6 +21,12 @@ def results(raw_catalog):
     query = Query(location=GeoPoint(46.1, -123.9))
     return query, engine.search(query, limit=5)
 
+
+
+def with_first_variable(feature, **changes):
+    """``feature`` with its first variable entry replaced by ``changes``."""
+    first, *rest = feature.variables
+    return replace(feature, variables=[replace(first, **changes), *rest])
 
 class TestSearchPage:
     def test_text_contains_query_and_hits(self, results):
@@ -57,21 +65,20 @@ class TestSummaryPage:
         assert feature.dataset_id in page
 
     def test_text_shows_written_origin_when_renamed(self, raw_catalog):
-        feature = next(iter(raw_catalog))
-        feature.variables[0].name = "renamed_canonical"
+        feature = with_first_variable(
+            next(iter(raw_catalog)), name="renamed_canonical"
+        )
         page = render_summary_text(summarize(feature))
         assert "(was" in page
 
     def test_text_detail_only_section(self, raw_catalog):
-        feature = next(iter(raw_catalog))
-        feature.variables[0].excluded = True
+        feature = with_first_variable(next(iter(raw_catalog)), excluded=True)
         page = render_summary_text(summarize(feature))
         assert "detail-only variables" in page
         assert "excluded from search" in page
 
     def test_taxonomy_links_rendered(self, raw_catalog):
-        feature = next(iter(raw_catalog))
-        feature.variables[0].name = "salinity"
+        feature = with_first_variable(next(iter(raw_catalog)), name="salinity")
         summary = summarize(
             feature, taxonomy_links=default_taxonomy_links()
         )
@@ -85,8 +92,7 @@ class TestSummaryPage:
         assert "<table" in page
 
     def test_html_escapes_content(self, raw_catalog):
-        feature = next(iter(raw_catalog))
-        feature.title = "Station <script>"
+        feature = replace(next(iter(raw_catalog)), title="Station <script>")
         page = render_summary_html(summarize(feature))
         assert "<script>" not in page
         assert "&lt;script&gt;" in page

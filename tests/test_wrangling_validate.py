@@ -1,5 +1,7 @@
 """Unit tests for repro.wrangling.validate (curatorial activity 4)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.wrangling import (
@@ -32,9 +34,11 @@ class TestDirectoryFormatConsistency:
     def test_mixed_directory_fails(self, state):
         # Force a CDL twin into a CSV directory.
         feature = state.working.get(state.working.dataset_ids()[0])
-        twin = feature.copy()
-        twin.dataset_id = feature.dataset_id + ".twin"
-        twin.file_format = "cdl" if feature.file_format == "csv" else "csv"
+        twin = replace(
+            feature,
+            dataset_id=feature.dataset_id + ".twin",
+            file_format="cdl" if feature.file_format == "csv" else "csv",
+        )
         state.working.upsert(twin)
         report = validate(state, checks=[DirectoryFormatConsistency()])
         assert not report.ok
@@ -104,8 +108,10 @@ class TestUnknownUnits:
 
     def test_alien_unit_fails(self, state):
         feature = state.working.get(state.working.dataset_ids()[0])
-        feature.variables[0].unit = "cubits"
-        state.working.upsert(feature)
+        first, *rest = feature.variables
+        state.working.upsert(
+            replace(feature, variables=[replace(first, unit="cubits"), *rest])
+        )
         report = validate(state, checks=[UnknownUnits()])
         assert not report.ok
         assert report.failures[0].subject == "cubits"
