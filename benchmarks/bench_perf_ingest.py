@@ -11,8 +11,9 @@ the system along the axes the ingest fast path optimizes:
 * **cold fast** — chunked parallel scan, batched ``upsert_many``
   publish, WAL + synchronous=NORMAL on file-backed SQLite,
 * **unchanged re-wrangle** — the same archive again: content hashes
-  memoized, digest cache version-matched, so the run must compute ZERO
-  feature digests and issue ZERO store writes,
+  memoized, and publish finds every working record equal to the
+  published one, so the run must issue ZERO store writes (the seed
+  path's digest count is kept as the baseline column),
 * **small-edit re-wrangle** — a handful of files edited, so cost should
   track the edit count, not the archive size,
 * **store write** — the catalog's own write path alone: one
@@ -53,7 +54,6 @@ if str(REPO_ROOT / "src") not in sys.path:  # allow running without PYTHONPATH
 if str(REPO_ROOT / "benchmarks") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
 
-import repro.wrangling.publish as publish_mod
 from repro.archive.filesystem import VirtualArchive
 from repro.archive.formats import FormatError, parse_file
 from repro.catalog import MemoryCatalog, SqliteCatalog
@@ -140,19 +140,35 @@ def seed_scan(fs, working, scanned_hashes) -> None:
         scanned_hashes[record.path] = content_hash
 
 
-def seed_publish(working, published) -> None:
-    """Pre-PR Publish.run: a fresh 2N digest diff, upsert per dataset."""
+def feature_digest(feature) -> str:
+    """The seed publish's unit of work: a feature serialized to sorted
+    JSON and hashed with SHA-256."""
+    payload = json.dumps(
+        feature_to_dict(feature), sort_keys=True, allow_nan=True
+    )
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def seed_publish(working, published) -> int:
+    """Pre-PR Publish.run: a fresh 2N digest diff, upsert per dataset.
+
+    Returns the number of feature digests computed.
+    """
     published_ids = set(published.dataset_ids())
     working_ids = set(working.dataset_ids())
+    digests = 0
     for dataset_id in sorted(working_ids):
         feature = working.get(dataset_id)
-        digest = publish_mod.feature_digest(feature)
+        digest = feature_digest(feature)
+        digests += 1
         if dataset_id in published_ids:
-            if publish_mod.feature_digest(published.get(dataset_id)) == digest:
+            digests += 1
+            if feature_digest(published.get(dataset_id)) == digest:
                 continue
         published.upsert(feature)
     for dataset_id in sorted(published_ids - working_ids):
         published.remove(dataset_id)
+    return digests
 
 
 def seed_pragmas(catalog: SqliteCatalog) -> None:
@@ -179,23 +195,6 @@ def fast_state(fs, published) -> tuple[WranglingState, ProcessChain]:
     state = WranglingState(fs=fs, published=published)
     chain = ProcessChain(components=[ScanArchive(), Publish()])
     return state, chain
-
-
-def counted_digests(fn):
-    """Run ``fn()`` counting feature_digest calls; returns (result, n)."""
-    calls = {"n": 0}
-    original = publish_mod.feature_digest
-
-    def counting(feature):
-        calls["n"] += 1
-        return original(feature)
-
-    publish_mod.feature_digest = counting
-    try:
-        result = fn()
-    finally:
-        publish_mod.feature_digest = original
-    return result, calls["n"]
 
 
 def timed(fn) -> float:
@@ -248,9 +247,9 @@ def bench_backend(
     seed_working = MemoryCatalog()
     seed_hashes: dict[str, str] = {}
 
-    def run_seed():
+    def run_seed() -> int:
         seed_scan(fs, seed_working, seed_hashes)
-        seed_publish(seed_working, seed_published)
+        return seed_publish(seed_working, seed_published)
 
     cold_seed_s = timed(run_seed)
 
@@ -264,13 +263,13 @@ def bench_backend(
     # -- unchanged re-wrangle ----------------------------------------------
     working_before = state.working.version
     published_before = state.published.version
-    __, unchanged_digests = counted_digests(lambda: chain.run(state))
+    chain.run(state)
     unchanged_writes = (
         state.working.version - working_before
         + state.published.version - published_before
     )
     unchanged_s = median_time(lambda: chain.run(state), repeats)
-    __, seed_unchanged_digests = counted_digests(run_seed)
+    seed_unchanged_digests = run_seed()
     unchanged_seed_s = median_time(run_seed, repeats)
 
     # -- small-edit re-wrangle ---------------------------------------------
@@ -290,7 +289,6 @@ def bench_backend(
         ),
         "unchanged_s": unchanged_s,
         "unchanged_seed_s": unchanged_seed_s,
-        "unchanged_digests": unchanged_digests,
         "unchanged_seed_digests": seed_unchanged_digests,
         "unchanged_store_writes": unchanged_writes,
         "small_edit_s": small_edit_s,
@@ -304,7 +302,13 @@ def bench_backend(
     return result
 
 
-def measure_telemetry_overhead(fs: VirtualArchive, repeats: int) -> dict:
+#: Interleaved off/on pairs behind the telemetry-overhead gate.  The
+#: gate bounds the overhead at 5%, and a median of a handful of pairs
+#: spreads wider than that on a shared 2-CPU box.
+TELEMETRY_PAIRS = 41
+
+
+def measure_telemetry_overhead(fs: VirtualArchive) -> dict:
     """Serial cold wrangles with telemetry off vs on, interleaved.
 
     The observability contract: full instrumentation (spans on every
@@ -312,7 +316,7 @@ def measure_telemetry_overhead(fs: VirtualArchive, repeats: int) -> dict:
     few percent of the serial ingest path.  Runs are interleaved so
     machine noise hits both sides equally, each starts from a collected
     heap so one run's garbage is not swept inside the next, and the
-    medians of at least five pairs are compared.
+    medians of :data:`TELEMETRY_PAIRS` pairs are compared.
     """
     from repro.obs import Telemetry, use_telemetry
 
@@ -329,7 +333,7 @@ def measure_telemetry_overhead(fs: VirtualArchive, repeats: int) -> dict:
 
     base: list[float] = []
     instrumented: list[float] = []
-    for __ in range(max(5, 2 * repeats + 1)):
+    for __ in range(TELEMETRY_PAIRS):
         base.append(cold_run(None))
         instrumented.append(cold_run(Telemetry()))
     base_s = statistics.median(base)
@@ -340,6 +344,7 @@ def measure_telemetry_overhead(fs: VirtualArchive, repeats: int) -> dict:
         "telemetry_overhead": (
             (on_s - base_s) / base_s if base_s else 0.0
         ),
+        "telemetry_pairs": TELEMETRY_PAIRS,
     }
 
 
@@ -461,15 +466,12 @@ def run(n_datasets: int, rows: int, repeats: int, n_edits: int) -> dict:
             n_datasets, max(5, 2 * repeats + 1), tmpdir
         )
     print("measuring telemetry overhead on the serial path ...")
-    result.update(measure_telemetry_overhead(fs, repeats))
+    result.update(measure_telemetry_overhead(fs))
     sqlite = result["backends"]["sqlite_file"]
     result["exactness_ok"] = parallel_ok and all(
         b["exactness_ok"] for b in result["backends"].values()
     )
     result["cold_speedup_sqlite_file"] = sqlite["cold_speedup"]
-    result["unchanged_digests"] = max(
-        b["unchanged_digests"] for b in result["backends"].values()
-    )
     result["unchanged_store_writes"] = max(
         b["unchanged_store_writes"] for b in result["backends"].values()
     )
@@ -517,8 +519,7 @@ def main(argv=None) -> int:
             f"fast {b['cold_fast_s']:7.3f}s  "
             f"({b['cold_speedup']:.1f}x)  "
             f"unchanged {b['unchanged_s'] * 1000.0:7.1f}ms "
-            f"({b['unchanged_digests']} digests, "
-            f"{b['unchanged_store_writes']} writes; seed "
+            f"({b['unchanged_store_writes']} writes; seed "
             f"{b['unchanged_seed_digests']} digests)  "
             f"edit({b['small_edit_files']}) "
             f"{b['small_edit_s'] * 1000.0:7.1f}ms"
@@ -539,8 +540,6 @@ def main(argv=None) -> int:
     failures = []
     if result["telemetry_overhead"] > 0.05:
         failures.append("telemetry overhead above 5% on the serial path")
-    if result["unchanged_digests"] != 0:
-        failures.append("unchanged re-wrangle computed digests")
     if result["unchanged_store_writes"] != 0:
         failures.append("unchanged re-wrangle wrote to a store")
     if not all(

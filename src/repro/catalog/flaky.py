@@ -84,10 +84,6 @@ class FlakyCatalogStore(CatalogStore):
         self._maybe_fail("apply_batch")
         return self.inner.apply_batch(upserts, removals)
 
-    def replace_all(self, features: Iterable[DatasetFeature]) -> int:
-        self._maybe_fail("replace_all")
-        return self.inner.replace_all(features)
-
     def clear(self) -> None:
         self._maybe_fail("clear")
         self.inner.clear()

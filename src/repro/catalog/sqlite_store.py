@@ -14,7 +14,10 @@ ids — skipped when the store is known to be empty — one inserts their
 removals are one more ``executemany``.  There are no per-feature
 statements, and no index beyond the keys: the ``datasets`` range indexes
 and the ``variables`` name index of older builds are dropped on open,
-since no statement reads them.
+since no statement reads them.  The statistics columns are nullable: an
+all-dropout column's NaN statistics bind as NULL and read back as NaN,
+and an older file whose columns refuse NULL has its ``variables`` table
+rebuilt on open.
 
 Writes are hardened against contention: file-backed connections set
 ``busy_timeout`` so SQLite waits out short lock windows itself, and
@@ -57,6 +60,7 @@ database, so other connections' writes stay visible.
 from __future__ import annotations
 
 import json
+import math
 import sqlite3
 import threading
 import time
@@ -81,7 +85,29 @@ _WRITE_RETRY = RetryPolicy(
     attempts=3, base_delay=0.01, multiplier=4.0, max_delay=0.1
 )
 
-_SCHEMA = """
+# The statistics columns are nullable: an all-dropout column's NaN
+# statistics bind as NULL, and a read turns NULL back into NaN.
+_VARIABLES_COLUMNS = """(
+    dataset_id   TEXT NOT NULL REFERENCES datasets(dataset_id)
+                 ON DELETE CASCADE,
+    position     INTEGER NOT NULL,
+    written_name TEXT NOT NULL,
+    written_unit TEXT NOT NULL,
+    name         TEXT NOT NULL,
+    unit         TEXT NOT NULL,
+    count        INTEGER NOT NULL,
+    minimum      REAL,
+    maximum      REAL,
+    mean         REAL,
+    stddev       REAL,
+    excluded     INTEGER NOT NULL DEFAULT 0,
+    ambiguous    INTEGER NOT NULL DEFAULT 0,
+    context      TEXT NOT NULL DEFAULT '',
+    resolution   TEXT NOT NULL DEFAULT '',
+    PRIMARY KEY (dataset_id, position)
+)"""
+
+_SCHEMA = f"""
 CREATE TABLE IF NOT EXISTS datasets (
     dataset_id   TEXT PRIMARY KEY,
     title        TEXT NOT NULL,
@@ -98,25 +124,7 @@ CREATE TABLE IF NOT EXISTS datasets (
     attributes   TEXT NOT NULL,
     content_hash TEXT NOT NULL
 );
-CREATE TABLE IF NOT EXISTS variables (
-    dataset_id   TEXT NOT NULL REFERENCES datasets(dataset_id)
-                 ON DELETE CASCADE,
-    position     INTEGER NOT NULL,
-    written_name TEXT NOT NULL,
-    written_unit TEXT NOT NULL,
-    name         TEXT NOT NULL,
-    unit         TEXT NOT NULL,
-    count        INTEGER NOT NULL,
-    minimum      REAL NOT NULL,
-    maximum      REAL NOT NULL,
-    mean         REAL NOT NULL,
-    stddev       REAL NOT NULL,
-    excluded     INTEGER NOT NULL DEFAULT 0,
-    ambiguous    INTEGER NOT NULL DEFAULT 0,
-    context      TEXT NOT NULL DEFAULT '',
-    resolution   TEXT NOT NULL DEFAULT '',
-    PRIMARY KEY (dataset_id, position)
-);
+CREATE TABLE IF NOT EXISTS variables {_VARIABLES_COLUMNS};
 CREATE TABLE IF NOT EXISTS catalog_meta (
     key   TEXT PRIMARY KEY,
     value INTEGER NOT NULL
@@ -370,8 +378,10 @@ class SqliteCatalog(CatalogStore):
         self._conn.commit()
         # Catalog files written by older builds carry R*Tree triggers
         # and range indexes that every ``datasets`` write maintains for
-        # no reader; drop them.
+        # no reader, and statistics columns that refuse NaN; drop the
+        # one and relax the other.
         self._drop_legacy_artifacts()
+        self._relax_statistics_columns()
         # The write-through mirror (module docstring): id -> feature,
         # valid while the live version equals ``_mirror_version``.  An
         # empty database is known in full, so it starts with one.
@@ -407,6 +417,32 @@ class SqliteCatalog(CatalogStore):
             pass
         self._conn.execute("DROP TABLE IF EXISTS prefilter_map")
         self._conn.commit()
+
+    def _relax_statistics_columns(self) -> None:
+        """Rebuild an older file's ``variables`` table with nullable
+        statistics columns.
+
+        Older builds declared them ``NOT NULL``, so such a file holds no
+        NaN statistic, and its rows copy over unchanged.
+        """
+        (notnull,) = self._conn.execute(
+            "SELECT \"notnull\" FROM pragma_table_info('variables') "
+            "WHERE name = 'minimum'"
+        ).fetchone()
+        if not notnull:
+            return
+        with self._conn:
+            self._conn.execute("BEGIN")
+            self._conn.execute(
+                f"CREATE TABLE variables_new {_VARIABLES_COLUMNS}"
+            )
+            self._conn.execute(
+                "INSERT INTO variables_new SELECT * FROM variables"
+            )
+            self._conn.execute("DROP TABLE variables")
+            self._conn.execute(
+                "ALTER TABLE variables_new RENAME TO variables"
+            )
 
     # -- candidate range scans ------------------------------------------------
     #
@@ -612,7 +648,7 @@ class SqliteCatalog(CatalogStore):
                 version = self._bump_version()
             if upserts:
                 mirror = self._mirror
-                known_empty = clear or (
+                known_empty = (
                     mirror is not None
                     and not mirror
                     and self._mirror_version == version - 1
@@ -830,17 +866,18 @@ class SqliteCatalog(CatalogStore):
             excluded, ambiguous, context, resolution,
         ) = v
         # Positional: keyword arguments cost a third more, paid on every
-        # row of a full read and of every mirrored write.
+        # row of a full read and of every mirrored write.  A NULL
+        # statistic was a NaN when it was bound.
         return VariableEntry(
             intern(written_name, written_name),
             intern(written_unit, written_unit),
             intern(name, name),
             intern(unit, unit),
             count,
-            minimum,
-            maximum,
-            mean,
-            stddev,
+            math.nan if minimum is None else minimum,
+            math.nan if maximum is None else maximum,
+            math.nan if mean is None else mean,
+            math.nan if stddev is None else stddev,
             bool(excluded),
             bool(ambiguous),
             intern(context, context),
@@ -896,11 +933,11 @@ class SqliteCatalog(CatalogStore):
 
         Variables are fetched once, grouped by dataset in python, then
         attached as each dataset row streams out — exactly the shape
-        :meth:`__iter__` consumers (index builds, publish digests,
-        exports) need.  Everything is read under the connection lock, so
-        concurrent writes through this connection cannot corrupt a
-        cursor; the variables cursor is consumed row by row there rather
-        than materialized.  The variables' repeated strings (names,
+        :meth:`__iter__` consumers (snapshots, exports, sweeps) need.
+        Everything is read under the connection lock, so concurrent
+        writes through this connection cannot corrupt a cursor; the
+        variables cursor is consumed row by row there rather than
+        materialized.  The variables' repeated strings (names,
         units, context, resolution — a few dozen distinct values across
         thousands of rows) are interned through a per-call dict, so a
         snapshot holds each distinct value once.
@@ -954,15 +991,4 @@ class SqliteCatalog(CatalogStore):
         removal_batch = list(removals)
         return self._write(
             lambda: self._apply(upsert_batch, removal_batch), "apply_batch"
-        )
-
-    def replace_all(self, features: Iterable[DatasetFeature]) -> int:
-        """Swap in a whole new catalog: one transaction, one bump.
-
-        Unlike ``clear()`` + ``upsert_many()``, no reader can ever see
-        the emptied intermediate state.
-        """
-        batch = list(features)
-        return self._write(
-            lambda: self._apply(batch, [], clear=True)[0], "replace_all"
         )

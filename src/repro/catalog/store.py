@@ -182,16 +182,6 @@ class CatalogStore(ABC):
         """
 
     @abstractmethod
-    def replace_all(self, features: Iterable[DatasetFeature]) -> int:
-        """Replace the entire content with ``features`` atomically.
-
-        The full-copy analogue of :meth:`apply_batch`: the content is
-        swapped under one version bump, so a concurrent snapshot never
-        observes an emptied-but-not-yet-refilled state.  Returns the new
-        dataset count.
-        """
-
-    @abstractmethod
     def features(self) -> Iterator[DatasetFeature]:
         """Yield all features in ``dataset_ids()`` order.
 
@@ -254,17 +244,6 @@ class CatalogStore(ABC):
         if replacements:
             self.apply_batch(replacements)
         return changed
-
-    def copy_into(self, other: "CatalogStore") -> int:
-        """Replace ``other``'s content with this catalog's features.
-
-        This is the Publish component's primitive.  Returns dataset count.
-        The copy goes through :meth:`features`/:meth:`replace_all`, so a
-        full-copy publish into SQLite is one bulk read and one
-        transaction (one version bump — a concurrent snapshot sees the
-        old catalog or the new one, never the emptied middle state).
-        """
-        return other.replace_all(self.features())
 
 
 class CatalogSnapshot(CatalogStore):
@@ -476,9 +455,6 @@ class CatalogSnapshot(CatalogStore):
     ) -> tuple[int, int]:
         raise SnapshotMutationError(self._MUTATION_MESSAGE)
 
-    def replace_all(self, features: Iterable[DatasetFeature]) -> int:
-        raise SnapshotMutationError(self._MUTATION_MESSAGE)
-
     def rename_variables(
         self, mapping: dict[str, str], resolution: str = ""
     ) -> int:
@@ -596,15 +572,6 @@ class MemoryCatalog(CatalogStore):
             if upserted or removed:
                 self._bump_version()
             return upserted, removed
-
-    def replace_all(self, features: Iterable[DatasetFeature]) -> int:
-        # Materialize outside the lock (the source may be a slow store),
-        # swap inside it: one bump, no observable emptied state.
-        fresh = {feature.dataset_id: feature for feature in features}
-        with self._write_lock:
-            self._features = fresh
-            self._bump_version()
-            return len(fresh)
 
     def features(self) -> Iterator[DatasetFeature]:
         for dataset_id in sorted(self._features):

@@ -156,7 +156,7 @@ class SearchService:
         * **snapshot** — ``snapshot_cow`` shares every unchanged
           feature object with the previous snapshot (the store
           re-verifies the version stamps under its lock; any failure
-          falls back to a full copy),
+          falls back to a full snapshot),
         * **columnar** — the copy-on-write snapshot refreezes
           incrementally from the previous view (splicing unchanged
           rows; see ``ColumnarSnapshot.freeze_from``), and
@@ -262,8 +262,8 @@ class SearchService:
         rebuild into the O(changed) warm handoff described on
         :meth:`_build_engine`.  It is used only when its version stamps
         prove it spans exactly the previous snapshot's version to the
-        live version (anything else — unstamped, full-copy, a racing
-        foreign write — falls back to the full path, same results).
+        live version (anything else — unstamped, or a racing foreign
+        write — falls back to the full path, same results).
 
         A replacement ``hierarchy`` is compared by the key the cache
         uses (:func:`~repro.core.search.hierarchy_digest`), not by

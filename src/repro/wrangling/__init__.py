@@ -24,7 +24,6 @@ from .provenance import ProvenanceEvent, ProvenanceJournal
 from .publish import Publish
 from .scan import ScanArchive, ScanTarget
 from .state import (
-    DigestCache,
     PublishDelta,
     QuarantineEntry,
     QuarantineLog,
@@ -72,7 +71,6 @@ __all__ = [
     "ValidationCheck",
     "ValidationFailure",
     "ValidationReport",
-    "DigestCache",
     "PublishDelta",
     "QuarantineEntry",
     "QuarantineLog",

@@ -5,40 +5,29 @@ the published metadata catalog that search runs against.  The
 two-catalog design means every destructive transformation so far has
 only ever touched the working copy.
 
-Publication is incremental by default: each dataset's feature is
-digested, and only datasets whose digest changed since the last publish
-are rewritten (vanished datasets are removed).  Three mechanisms keep
-the re-run loop cheap:
+Publication writes only what changed.  Catalog records are immutable
+values, so the diff reads one :meth:`~repro.catalog.store.CatalogStore
+.snapshot` of the published store (the SQLite store's mirror when it is
+valid, one consistent read otherwise) and compares each working record
+with the published one: a record that ``is`` or ``==`` its published
+counterpart, or differs from it only by distinct NaN objects, is
+unchanged.  An unchanged re-wrangle therefore issues *zero* store
+writes.  Changed *and* vanished datasets go through one
+``CatalogStore.apply_batch``: a single transaction and ONE version bump
+per publish, so the query-serving cache built on catalog versions
+invalidates once per publish (not once per dataset) and a concurrent
+catalog snapshot sees the whole publish or none of it.
 
-* **Digest caching** — digests are remembered in the state's
-  :class:`~repro.wrangling.state.DigestCache`, stamped with the store
-  version they were computed at.  An unchanged re-wrangle (both store
-  versions match) computes *zero* digests and issues *zero* store
-  writes; a changed one digests each side at most once instead of the
-  2N serialize+hash passes the naive diff pays.
-* **Batched writes** — changed *and* vanished datasets go through one
-  ``CatalogStore.apply_batch``: a single transaction and ONE version
-  bump per publish, so the query-serving cache built on catalog
-  versions invalidates once per publish (not once per dataset) and a
-  concurrent catalog snapshot sees the whole publish or none of it.
-* **Bulk reads** — both catalogs are walked with the grouped
-  ``features()`` iterator, avoiding SQLite's 1+2N per-dataset query
-  pattern.
-
-Set ``incremental=False`` to force the clear-and-copy behaviour.
-
-Publishing is also fault-tolerant: store writes retry on transient
-SQLite busy/locked conditions under a bounded
+Publishing is also fault-tolerant: the published-side read and the
+write retry on transient SQLite busy/locked conditions under a bounded
 :class:`~repro.core.retry.RetryPolicy`; a fault that outlives the
-budget defers the publish — the digest cache is left unrefreshed and
-``published_delta`` unset, so the next wrangle recomputes the diff and
-converges — instead of aborting the chain.
+budget defers the publish — ``published_delta`` is left unset, and the
+next wrangle reads the store again and converges — instead of aborting
+the chain.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 
 from ..catalog.io import feature_to_dict
@@ -49,27 +38,28 @@ from .component import Component, ComponentReport
 from .state import PublishDelta, WranglingState
 
 
-def feature_digest(feature) -> str:
-    """A stable digest of everything search can observe of a feature."""
-    payload = json.dumps(
-        feature_to_dict(feature), sort_keys=True, allow_nan=True
+def _unchanged(old, new) -> bool:
+    """True when publishing ``new`` over ``old`` would change nothing.
+
+    ``==`` calls two distinct NaN floats unequal, so a pair that fails
+    it is compared once more as dicts, which encode NaN as ``None``.
+    """
+    return old is new or old == new or (
+        old is not None and feature_to_dict(old) == feature_to_dict(new)
     )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 @dataclass(slots=True)
 class Publish(Component):
     """The figure's final box."""
 
-    require_nonempty: bool = True
-    incremental: bool = True
-    #: Bounded retry for transient (busy/locked) store writes.
+    #: Bounded retry for transient (busy/locked) store reads and writes.
     retry: RetryPolicy = field(default_factory=RetryPolicy)
 
     name = "publish"
 
-    def _write(self, fn, report: ComponentReport, key: str):
-        """One retried store write; absorbed faults count as retries."""
+    def _retried(self, fn, report: ComponentReport, key: str):
+        """One retried store call; absorbed faults count as retries."""
 
         def count_retry(attempt, exc, pause):
             report.retries += 1
@@ -81,11 +71,10 @@ class Publish(Component):
     def _defer(
         self, state: WranglingState, report: ComponentReport, exc: Exception
     ) -> None:
-        """Give up on this publish without corrupting incremental state.
+        """Give up on this publish; the next run reads the store again.
 
-        The digest cache keeps its *previous* stamp (the store versions
-        will not match next run, forcing a fresh diff) and the delta is
-        left unset, so index maintenance falls back to a full rebuild.
+        The delta is left unset, so the serving layer's refresh falls
+        back to a full snapshot.
         """
         report.add_error(
             classify_exception(exc, attempts=self.retry.attempts)
@@ -101,99 +90,49 @@ class Publish(Component):
     def run(self, state: WranglingState, report: ComponentReport) -> None:
         telemetry = get_telemetry()
         state.published_delta = None
-        if self.require_nonempty and len(state.working) == 0:
+        if len(state.working) == 0:
             report.add("refusing to publish an empty working catalog")
             return
         report.items_seen = len(state.working)
-        if not self.incremental:
-            try:
-                with telemetry.span("publish.copy"):
-                    report.changes = self._write(
-                        lambda: state.working.copy_into(state.published),
-                        report,
-                        "publish:copy",
-                    )
-            except Exception as exc:
-                if not is_transient(exc):
-                    raise
-                self._defer(state, report, exc)
-                return
-            state.digest_cache.invalidate()
-            state.published_delta = PublishDelta(full_copy=True)
-            telemetry.count("publish.full_copies")
-            report.add(f"published {report.changes} datasets (full copy)")
+        try:
+            snap = self._retried(
+                state.published.snapshot, report, "publish:read"
+            )
+        except Exception as exc:
+            if not is_transient(exc):
+                raise
+            self._defer(state, report, exc)
             return
 
-        cache = state.digest_cache
-        digests_computed = 0
-
-        # -- working side: feature digests, reused when version matches --
-        if cache.working_version == state.working.version:
-            telemetry.count("publish.digest_cache_hits")
-            working_digests = cache.working
-            working_features: dict | None = None
-        else:
-            telemetry.count("publish.digest_cache_misses")
-            working_features = {}
-            working_digests = {}
-            with telemetry.span("publish.digest", side="working"):
-                for feature in state.working.features():
-                    working_features[feature.dataset_id] = feature
-                    working_digests[feature.dataset_id] = feature_digest(
-                        feature
-                    )
-                    digests_computed += 1
-
-        # -- published side: last publish's digests, unless someone else
-        #    mutated the store since (version mismatch -> recompute) -----
-        if cache.published_version == state.published.version:
-            telemetry.count("publish.digest_cache_hits")
-            published_digests = cache.published
-        else:
-            telemetry.count("publish.digest_cache_misses")
-            published_digests = {}
-            with telemetry.span("publish.digest", side="published"):
-                for feature in state.published.features():
-                    published_digests[feature.dataset_id] = feature_digest(
-                        feature
-                    )
-                    digests_computed += 1
+        with telemetry.span("publish.diff"):
+            published = {f.dataset_id: f for f in snap.features()}
+            changed = []
+            for feature in state.working.features():
+                old = published.pop(feature.dataset_id, None)
+                if _unchanged(old, feature):
+                    report.items_skipped += 1
+                else:
+                    changed.append(feature)
+            # What is left was published but is no longer in the working
+            # catalog.
+            vanished = sorted(published)
 
         delta = PublishDelta()
-        changed_ids = []
-        for dataset_id in sorted(working_digests):
-            if published_digests.get(dataset_id) == working_digests[
-                dataset_id
-            ]:
-                report.items_skipped += 1
-            else:
-                changed_ids.append(dataset_id)
-        if working_features is None:
-            changed_features = [
-                state.working.get(dataset_id) for dataset_id in changed_ids
-            ]
-        else:
-            changed_features = [
-                working_features[dataset_id] for dataset_id in changed_ids
-            ]
-        vanished = sorted(set(published_digests) - set(working_digests))
-        if changed_ids or vanished:
+        if changed or vanished:
             # One apply_batch: upserts and removals land in a single
             # transaction under a single version bump, so a concurrent
             # snapshot (the serving layer's) sees the whole publish or
             # none of it — never the upserted-but-not-yet-removed
-            # middle.  Materialized (not a generator) so a retried
-            # write replays the identical batch.
-            base_version = state.published.version
+            # middle.  A list, so a retried write replays the same batch.
             try:
                 with telemetry.span(
                     "publish.apply",
-                    upserts=len(changed_ids),
+                    upserts=len(changed),
                     removals=len(vanished),
                 ):
-                    self._write(
+                    self._retried(
                         lambda: state.published.apply_batch(
-                            changed_features, vanished
+                            changed, vanished
                         ),
                         report,
                         "publish:apply",
@@ -203,36 +142,24 @@ class Publish(Component):
                     raise
                 self._defer(state, report, exc)
                 return
-            delta.upserted.extend(changed_ids)
+            delta.upserted.extend(f.dataset_id for f in changed)
             delta.removed.extend(vanished)
             # Version-stamp the delta so consumers can prove it is the
             # only change between two store versions (the COW snapshot
-            # path checks spans()).  One batch = one bump; anything else
-            # (a foreign writer interleaved, a store without the
-            # single-bump apply_batch override) leaves the stamps
-            # useless and consumers fall back to a full snapshot.
+            # path checks spans()).  The diff read ``snap.version`` and
+            # one batch is one bump; anything else (a foreign write
+            # between the read and the write) leaves the delta unstamped
+            # and consumers fall back to a full snapshot.
             after_version = state.published.version
-            if after_version == base_version + 1:
-                delta.base_version = base_version
+            if after_version == snap.version + 1:
+                delta.base_version = snap.version
                 delta.published_version = after_version
-            report.changes += len(changed_ids) + len(vanished)
+            report.changes += len(changed) + len(vanished)
             for dataset_id in vanished:
                 report.add(f"withdrew vanished dataset {dataset_id}")
 
-        # -- refresh the cache to this publish's outcome ------------------
-        cache.working = dict(working_digests)
-        cache.working_version = state.working.version
-        published = dict(published_digests)
-        for dataset_id in changed_ids:
-            published[dataset_id] = working_digests[dataset_id]
-        for dataset_id in vanished:
-            published.pop(dataset_id, None)
-        cache.published = published
-        cache.published_version = state.published.version
-
         state.published_delta = delta
-        telemetry.count("publish.digests", digests_computed)
-        telemetry.count("publish.upserted", len(changed_ids))
+        telemetry.count("publish.upserted", len(changed))
         telemetry.count("publish.removed", len(vanished))
         telemetry.count("publish.unchanged", report.items_skipped)
         telemetry.gauge("catalog.size", len(state.published))
@@ -240,4 +167,3 @@ class Publish(Component):
             f"published {report.changes} changed datasets, "
             f"{report.items_skipped} unchanged"
         )
-        report.add(f"computed {digests_computed} feature digests")

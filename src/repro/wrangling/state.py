@@ -27,15 +27,12 @@ from ..semantics import (
 class PublishDelta:
     """What the most recent publish changed in the published catalog.
 
-    Downstream consumers (search-index maintenance, the serving layer's
-    copy-on-write refresh) use this to update incrementally in
-    O(changed) instead of rebuilding over the whole catalog.
-    ``full_copy`` marks a non-incremental clear-and-copy publish, after
-    which only a full rebuild is sound.
+    The serving layer's copy-on-write refresh uses this to update in
+    O(changed) instead of rereading the whole catalog.
 
     ``base_version``/``published_version`` stamp the published store's
-    version immediately before and after the publish's single
-    ``apply_batch``.  ``published == base + 1`` (one batch, one bump)
+    version at the snapshot the publish diffed against and after its
+    single ``apply_batch``.  ``published == base + 1`` (one batch, one bump)
     is what makes the delta *provably complete*: a consumer holding a
     snapshot at ``base_version`` can reach ``published_version`` by
     applying exactly this delta — any interleaved foreign write would
@@ -45,7 +42,6 @@ class PublishDelta:
 
     upserted: list[str] = field(default_factory=list)
     removed: list[str] = field(default_factory=list)
-    full_copy: bool = False
     base_version: int = -1
     published_version: int = -1
 
@@ -59,39 +55,11 @@ class PublishDelta:
         ``base_version`` provably yields the store at ``target_version``
         (the sole intervening mutation was this delta's own batch)."""
         return (
-            not self.full_copy
-            and self.base_version >= 0
+            self.base_version >= 0
             and self.base_version == base_version
             and self.published_version == target_version
             and self.published_version == self.base_version + 1
         )
-
-
-@dataclass(slots=True)
-class DigestCache:
-    """Feature digests remembered between publishes.
-
-    ``feature_digest`` (serialize + SHA-256) is the publish step's unit
-    of work; without a cache every re-wrangle pays 2N digests even when
-    nothing changed.  Each side (working / published) keeps the digests
-    it computed stamped with the store version they were computed at: a
-    matching version means the store has not mutated since, so the whole
-    map is still exact and an unchanged re-wrangle digests *nothing*.  A
-    mismatched version discards that side (any mutation may have touched
-    any dataset).  Versions start at -1, below any real store version.
-    """
-
-    working_version: int = -1
-    working: dict[str, str] = field(default_factory=dict)
-    published_version: int = -1
-    published: dict[str, str] = field(default_factory=dict)
-
-    def invalidate(self) -> None:
-        """Forget everything (after a non-incremental full copy)."""
-        self.working_version = -1
-        self.working.clear()
-        self.published_version = -1
-        self.published.clear()
 
 
 @dataclass(slots=True)
@@ -168,7 +136,6 @@ class WranglingState:
     stations: list[StationRecord] = field(default_factory=list)
     scanned_hashes: dict[str, str] = field(default_factory=dict)
     quarantine: QuarantineLog = field(default_factory=QuarantineLog)
-    digest_cache: DigestCache = field(default_factory=DigestCache)
     notes: list[str] = field(default_factory=list)
     published_delta: PublishDelta | None = None
 

@@ -4,7 +4,7 @@ The serving layer's correctness rests on three properties tested here:
 
 * a snapshot is frozen — every mutator raises, content and version
   never move, and it shares no state with the source store;
-* ``apply_batch``/``replace_all`` are atomic — one version bump, and a
+* ``apply_batch`` is atomic — one version bump, and a
   concurrent snapshot sees the whole batch or none of it;
 * readers never block writers — a thread holding (and reading) a
   snapshot cannot delay mutations on the live store.
@@ -90,7 +90,6 @@ class TestSnapshotBasics:
             lambda: snap.upsert_many([make_feature("x")]),
             lambda: snap.remove_many(["a"]),
             lambda: snap.apply_batch([make_feature("x")], ["a"]),
-            lambda: snap.replace_all([make_feature("x")]),
             lambda: snap.rename_variables({"water_temperature": "t"}),
         ]
         for mutate in cases:
@@ -154,23 +153,6 @@ class TestAtomicBatches:
         before = store.version
         assert store.apply_batch((), ()) == (0, 0)
         assert store.version == before
-
-    def test_replace_all_single_bump_no_empty_state(self, store):
-        store.upsert_many([make_feature("a"), make_feature("b")])
-        before = store.version
-        count = store.replace_all([make_feature("z")])
-        assert count == 1
-        assert store.version == before + 1
-        assert store.dataset_ids() == ["z"]
-
-    def test_copy_into_is_one_bump(self, store):
-        store.upsert_many([make_feature("a"), make_feature("b")])
-        target = MemoryCatalog()
-        target.upsert(make_feature("stale"))
-        before = target.version
-        assert store.copy_into(target) == 2
-        assert target.version == before + 1
-        assert target.dataset_ids() == ["a", "b"]
 
 
 class TestSnapshotIsolation:

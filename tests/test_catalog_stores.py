@@ -173,15 +173,6 @@ class TestBulkOperations:
         assert len(pairs) == 2
         assert pairs[0][0] == "d1"
 
-    def test_copy_into(self, store):
-        store.upsert(make_feature("a"))
-        store.upsert(make_feature("b"))
-        target = MemoryCatalog()
-        target.upsert(make_feature("stale"))
-        count = store.copy_into(target)
-        assert count == 2
-        assert target.dataset_ids() == ["a", "b"]
-
 
 class TestSqliteSpecific:
     def test_persistence_across_connections(self, tmp_path):

@@ -1,11 +1,11 @@
-"""The ingest fast path: parallel scan exactness, digest-cached publish.
+"""The ingest fast path: parallel scan exactness, diffing publish.
 
 Three contracts guard the scan→publish half of the system:
 
 * a parallel scan must produce a catalog *identical* to the serial one
   (workers only compute; writes happen in deterministic path order),
-* an unchanged re-wrangle must compute zero feature digests and issue
-  zero store writes (version-stamped digest cache),
+* an unchanged re-wrangle must issue zero store writes (publish
+  compares the working records with the published ones),
 * a publish batch must bump the catalog version once, so the PR-1
   query cache invalidates exactly once per publish.
 """
@@ -17,7 +17,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.wrangling.publish as publish_mod
 from repro.archive.filesystem import VirtualArchive
 from repro.catalog import MemoryCatalog, SqliteCatalog
 from repro.catalog.io import feature_to_dict
@@ -105,22 +104,6 @@ class TestParallelScanExactness:
         assert ScanArchive(workers=0)._resolved_workers(5) == 1
 
 
-def run_counting_digests(chain, state):
-    calls = {"n": 0}
-    original = publish_mod.feature_digest
-
-    def counting(feature):
-        calls["n"] += 1
-        return original(feature)
-
-    publish_mod.feature_digest = counting
-    try:
-        report = chain.run(state)
-    finally:
-        publish_mod.feature_digest = original
-    return report, calls["n"]
-
-
 @pytest.fixture(params=["memory", "sqlite"])
 def published_store(request):
     if request.param == "memory":
@@ -131,16 +114,17 @@ def published_store(request):
 
 
 class TestDigestCachedPublish:
+    """Publish writes only the records that differ from the published
+    ones, in one batch."""
+
     def test_unchanged_rewrangle_digests_nothing(self, published_store):
         fs = archive_of(6)
         state = WranglingState(fs=fs, published=published_store)
         chain = scan_publish_chain(workers=1)
-        __, cold_digests = run_counting_digests(chain, state)
-        assert cold_digests == 6
+        chain.run(state)
         working_v = state.working.version
         published_v = state.published.version
-        report, digests = run_counting_digests(chain, state)
-        assert digests == 0
+        report = chain.run(state)
         assert state.working.version == working_v
         assert state.published.version == published_v
         assert report.report_for("publish").changes == 0
@@ -179,28 +163,16 @@ class TestDigestCachedPublish:
         assert "dir2/ds_002.csv" not in state.published.dataset_ids()
 
     def test_external_mutation_invalidates_cache(self, published_store):
-        """A version mismatch must force a published-side re-digest."""
+        """A write behind the publish step's back is found and repaired."""
         fs = archive_of(3)
         state = WranglingState(fs=fs, published=published_store)
         chain = scan_publish_chain(workers=1)
         chain.run(state)
-        # Mutate the published store behind the publish step's back.
         tampered = state.published.get("dir0/ds_000.csv")
         state.published.upsert(replace(tampered, title="tampered"))
-        __, digests = run_counting_digests(chain, state)
-        assert digests > 0
-        assert state.published.get("dir0/ds_000.csv").title == "DS 0"
-
-    def test_full_copy_invalidates_cache(self):
-        fs = archive_of(3)
-        state = WranglingState(fs=fs)
-        chain = ProcessChain(
-            components=[ScanArchive(workers=1), Publish(incremental=False)]
-        )
         chain.run(state)
-        assert state.published_delta.full_copy
-        assert state.digest_cache.working_version == -1
-        assert len(state.published) == 3
+        assert state.published.get("dir0/ds_000.csv").title == "DS 0"
+        assert state.published_delta.upserted == ["dir0/ds_000.csv"]
 
 
 class TestSqlitePragmas:

@@ -250,10 +250,6 @@ def test_publish_delta_spans_requirements():
     assert not stamped.spans(4, 6)  # wrong target
     # An unstamped delta never spans anything.
     assert not PublishDelta(upserted=["a"]).spans(4, 5)
-    # A full-copy publish invalidates incremental application.
-    assert not PublishDelta(
-        full_copy=True, base_version=4, published_version=5
-    ).spans(4, 5)
     # More than one bump means a foreign write slipped in between.
     assert not PublishDelta(
         upserted=["a"], base_version=4, published_version=6

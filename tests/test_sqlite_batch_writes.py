@@ -118,14 +118,6 @@ class TestDuplicateIds:
                 f.dataset_id: f for f in memory.features()
             }
 
-    def test_replace_all_keeps_the_last(self, tmp_path):
-        path = str(tmp_path / "c.db")
-        with SqliteCatalog(path) as store:
-            store.upsert_many(make_feature(i) for i in "xyz")
-            assert store.replace_all(duplicate_batch()) == 5
-            assert titles(served(store)) == LAST_WINS
-            assert served(store) == fresh_read(path)
-
 
 # -- mirror entries built from the input --------------------------------------
 
@@ -297,17 +289,6 @@ class TestStatementCount:
                 )
                 assert len(store) == 200 - removals
         assert issued[1] == issued[100]
-
-    def test_replace_all(self):
-        issued = {}
-        for size in (10, 1000):
-            with SqliteCatalog() as store:
-                store.upsert_many(batch(50, prefix="old"))
-                issued[size] = counted(
-                    store, lambda s: s.replace_all(batch(size))
-                )
-                assert len(store) == size
-        assert issued[10] == issued[1000]
 
 
 # -- catalog files with the old range indexes ---------------------------------

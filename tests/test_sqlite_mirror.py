@@ -2,12 +2,13 @@
 
 ``SqliteCatalog.snapshot`` answers from its mirror while the mirror is
 valid at the live catalog version.  A stateful Hypothesis machine drives
-every mutator — plus writes from a second connection, a NaN that rolls
-a batch back, a busy-retried batch and awkward values (``-0.0``, ints in
-REAL columns, integral floats in INTEGER columns, unsorted non-ASCII
-attribute keys) — and after every step checks that ``store.snapshot()``
-equals a fresh full read of the database, at the same version, field
-for field and type for type.  The pin tests below count full reads.
+every mutator — plus writes from a second connection, a NULL that
+rolls a batch back, a busy-retried batch and awkward values (``-0.0``,
+NaN statistics, ints in REAL columns, integral floats in INTEGER
+columns, unsorted non-ASCII attribute keys) — and after every step
+checks that ``store.snapshot()`` equals a fresh full read of the
+database, at the same version, field for field and type for type (a
+NaN equals a NaN).  The pin tests below count full reads.
 """
 
 from __future__ import annotations
@@ -55,11 +56,12 @@ NAMES = ["temp", "salinity", "turbidity"]
 
 ids = st.sampled_from(IDS)
 names = st.sampled_from(NAMES)
-#: Values bound to REAL columns: floats, ints and the signed zero.
+#: Values bound to REAL columns: floats, ints, the signed zero and NaN
+#: (an all-dropout column's statistics, stored as NULL).
 reals = st.one_of(
     st.floats(-1e12, 1e12, allow_nan=False),
     st.integers(-(2**53), 2**53),
-    st.sampled_from([-0.0, 0.0, 1e300, -1e300, float("inf")]),
+    st.sampled_from([-0.0, 0.0, 1e300, -1e300, float("inf"), math.nan]),
 )
 #: Values bound to INTEGER columns: ints, bools, integral floats in and
 #: out of the 64-bit range, and a non-integral float (stored as REAL).
@@ -122,7 +124,7 @@ def features(draw, dataset_id=ids):
 
 def assert_identical(a, b, where="feature"):
     """Equal value *and* type, recursively; ``0.0`` differs from
-    ``-0.0``, and dict key order counts."""
+    ``-0.0``, NaN equals NaN, and dict key order counts."""
     assert type(a) is type(b), (where, a, b)
     if isinstance(a, (DatasetFeature, VariableEntry, BoundingBox,
                       TimeInterval)):
@@ -138,6 +140,8 @@ def assert_identical(a, b, where="feature"):
         assert len(a) == len(b), (where, a, b)
         for i, (x, y) in enumerate(zip(a, b)):
             assert_identical(x, y, f"{where}[{i}]")
+    elif isinstance(a, float) and math.isnan(a):
+        assert math.isnan(b), (where, a, b)
     elif isinstance(a, float):
         assert a == b, (where, a, b)
         assert math.copysign(1.0, a) == math.copysign(1.0, b), (where, a, b)
@@ -218,10 +222,6 @@ class MirrorMachine(RuleBasedStateMachine):
     def remove_many(self, dataset_ids):
         self.store.remove_many(dataset_ids)
 
-    @rule(batch=st.lists(features(), max_size=3))
-    def replace_all(self, batch):
-        self.store.replace_all(batch)
-
     @rule()
     def clear(self):
         self.store.clear()
@@ -267,13 +267,13 @@ class MirrorMachine(RuleBasedStateMachine):
         assert_same_snapshot(refreshed, self.disk_snapshot())
 
     @rule(good=features(), bad=features())
-    def nan_rolls_back(self, good, bad):
+    def null_rolls_back(self, good, bad):
         bad = replace(
             bad,
             variables=[
                 *bad.variables,
                 VariableEntry.from_written(
-                    "x", "u", 1, 0.0, 1.0, math.nan, 0.0
+                    "x", "u", None, 0.0, 1.0, 0.5, 0.0
                 ),
             ],
         )

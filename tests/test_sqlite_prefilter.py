@@ -174,7 +174,8 @@ class TestDegradationSurvival:
             ) == (1, 1)
             assert store.remove_many(["ds_005", "ds_006"]) == 2
             assert len(store) == 7
-            assert store.replace_all(spread_features(5)) == 5
+            store.clear()
+            assert store.upsert_many(spread_features(5)) == 5
             assert store.dataset_ids() == [f"ds_{i:03d}" for i in range(5)]
         # The migration sticks: a later open finds nothing to drop.
         with SqliteCatalog(path) as store:

@@ -397,9 +397,3 @@ class TestIncrementalPublish:
         report = Publish().execute(state)
         assert victim not in state.published.dataset_ids()
         assert report.changes >= 1
-
-    def test_full_copy_mode(self, state):
-        scan(state)
-        Publish(incremental=False).execute(state)
-        report = Publish(incremental=False).execute(state)
-        assert report.changes == len(state.working)
