@@ -28,8 +28,8 @@ def _num(value: float) -> float | None:
     return None if math.isnan(value) else value
 
 
-def _denum(value: Any) -> float:
-    return math.nan if value is None else float(value)
+def _denum(value: Any) -> Any:
+    return math.nan if value is None else value
 
 
 def feature_to_dict(feature: DatasetFeature) -> dict[str, Any]:
@@ -69,8 +69,12 @@ def feature_to_dict(feature: DatasetFeature) -> dict[str, Any]:
 def feature_from_dict(data: dict[str, Any]) -> DatasetFeature:
     """Inverse of :func:`feature_to_dict`.
 
+    The values go to the record constructors as parsed, and they reject
+    any that is not in stored form (a non-integral count, a non-``str``
+    text field).
+
     Raises:
-        CatalogFormatError: on missing fields or malformed geometry.
+        CatalogFormatError: on any malformed record.
     """
     try:
         variables = [
@@ -79,13 +83,13 @@ def feature_from_dict(data: dict[str, Any]) -> DatasetFeature:
                 written_unit=v["written_unit"],
                 name=v["name"],
                 unit=v["unit"],
-                count=int(v["count"]),
+                count=v["count"],
                 minimum=_denum(v["minimum"]),
                 maximum=_denum(v["maximum"]),
                 mean=_denum(v["mean"]),
                 stddev=_denum(v["stddev"]),
-                excluded=bool(v.get("excluded", False)),
-                ambiguous=bool(v.get("ambiguous", False)),
+                excluded=v.get("excluded", False),
+                ambiguous=v.get("ambiguous", False),
                 context=v.get("context", ""),
                 resolution=v.get("resolution", ""),
             )
@@ -98,13 +102,15 @@ def feature_from_dict(data: dict[str, Any]) -> DatasetFeature:
             file_format=data["file_format"],
             bbox=BoundingBox(*data["bbox"]),
             interval=TimeInterval(*data["interval"]),
-            row_count=int(data["row_count"]),
+            row_count=data["row_count"],
             source_directory=data["source_directory"],
-            attributes=dict(data.get("attributes", {})),
+            attributes=data.get("attributes", {}),
             variables=variables,
             content_hash=data.get("content_hash", ""),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        # AttributeError: a record, variable or attributes value that
+        # is not a JSON object.
         raise CatalogFormatError(f"bad feature record: {exc}")
 
 
@@ -140,8 +146,11 @@ def load_catalog(text: str, into: CatalogStore) -> int:
             f"unsupported catalog version {version!r} "
             f"(expected {FORMAT_VERSION})"
         )
+    records = payload.get("datasets", [])
+    if not isinstance(records, list):
+        raise CatalogFormatError("datasets is not a list")
     count = 0
-    for record in payload.get("datasets", []):
+    for record in records:
         into.upsert(feature_from_dict(record))
         count += 1
     return count

@@ -41,16 +41,10 @@ catalog version they are valid at.  It is seeded when the database is
 empty at open, refilled by every full :meth:`~SqliteCatalog.snapshot`
 read, and advanced by each of this connection's own committed writes,
 so serving a catalog just published through this connection never reads
-it back.  Each entry is found in the same pass that binds its
-``datasets`` row, straight from the input feature, which is immutable:
-when every value has exactly the type its column stores, the entry is
-the input feature itself, or a rebuild of it when a statistic is zero
-(``-0.0`` is stored as ``0.0``) or the attributes are not in stored
-order; any other feature is decoded from its bound row tuples,
-normalised to what SQLite stores, by the same
-``_feature_from_row``/``_variable_from_row`` as a disk read.  Either
-way the entry equals a disk read.  A write from another connection (the
-version moves by more than our own bump) or
+it back.  Records are built in stored form
+(:mod:`repro.catalog.records`), so a record equals a disk read of
+itself and each mirror entry is the input record.  A write from
+another connection (the version moves by more than our own bump) or
 :meth:`~SqliteCatalog.close` drops it, and the next
 :meth:`~SqliteCatalog.snapshot` reads the disk again.  Point reads
 (``get``, ``features``, ``len``, ``dataset_ids``) always run against the
@@ -139,206 +133,6 @@ _INSERT_DATASET = "INSERT INTO datasets VALUES (?,?,?,?,?,?,?,?,?,?,?,?,?,?)"
 _INSERT_VARIABLE = (
     "INSERT INTO variables VALUES (?,?,?,?,?,?,?,?,?,?,?,?,?,?,?)"
 )
-
-# -- what SQLite hands back for a bound value ----------------------------------
-#
-# A mirror entry off the fast path (``_stored_feature``) is decoded from
-# the tuples bound for it, so first they are brought to the values a
-# read of the same rows returns.  A value whose stored form is not known
-# here (a non-``str`` in a TEXT column, a ``str`` in a numeric one)
-# raises TypeError, and the caller drops the mirror.
-
-#: Reals strictly inside this range that are integral come back from an
-#: INTEGER column as ints (SQLite's integer affinity).
-_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
-
-
-def _as_real(value) -> float:
-    """A REAL column's read-back: a float, and ``-0.0`` as ``0.0``
-    (SQLite stores an integral real as an integer)."""
-    if isinstance(value, (int, float)):
-        return float(value) + 0.0
-    raise TypeError(f"not a number: {value!r}")
-
-
-def _as_integer(value):
-    """An INTEGER column's read-back: an int, or a float when the real
-    is not integral or lies outside the 64-bit range."""
-    if isinstance(value, int):
-        return int(value)
-    if isinstance(value, float):
-        value = float(value)
-        if value.is_integer() and _INT64_MIN < value < _INT64_MAX:
-            return int(value)
-        return value
-    raise TypeError(f"not a number: {value!r}")
-
-
-def _as_text(value) -> str:
-    if type(value) is str:
-        return value
-    raise TypeError(f"not a str: {value!r}")
-
-
-# The two row functions check the common shape (str, int and float
-# exactly where the schema says) inline, and leave every other value to
-# the helpers above; in that shape only ``-0.0`` changes, so a row with
-# no zero real is returned as it is.
-
-
-def _stored_dataset_row(row: tuple) -> tuple:
-    """A bound ``datasets`` row as a read of it returns it."""
-    (
-        dataset_id, title, platform, file_format,
-        min_lat, min_lon, max_lat, max_lon, start, end,
-        row_count, source_dir, attributes, content_hash,
-    ) = row
-    if not (
-        str is type(dataset_id) is type(title) is type(platform)
-        is type(file_format) is type(source_dir) is type(attributes)
-        is type(content_hash)
-        and type(row_count) is int
-        and float is type(min_lat) is type(min_lon) is type(max_lat)
-        is type(max_lon) is type(start) is type(end)
-    ):
-        return (
-            *map(_as_text, row[:4]),
-            *map(_as_real, row[4:10]),
-            _as_integer(row_count),
-            *map(_as_text, row[11:]),
-        )
-    if min_lat and min_lon and max_lat and max_lon and start and end:
-        return row  # no zero, so no -0.0: stored exactly as bound
-    return (
-        dataset_id, title, platform, file_format,
-        min_lat + 0.0, min_lon + 0.0, max_lat + 0.0, max_lon + 0.0,
-        start + 0.0, end + 0.0,
-        row_count, source_dir, attributes, content_hash,
-    )
-
-
-def _stored_variable_row(row: tuple) -> tuple:
-    """A bound ``variables`` row as a read of it returns it."""
-    (
-        dataset_id, position, written_name, written_unit, name, unit,
-        count, minimum, maximum, mean, stddev,
-        excluded, ambiguous, context, resolution,
-    ) = row
-    if not (
-        str is type(dataset_id) is type(written_name)
-        is type(written_unit) is type(name) is type(unit)
-        is type(context) is type(resolution)
-        and type(count) is int
-        and float is type(minimum) is type(maximum) is type(mean)
-        is type(stddev)
-    ):
-        return (
-            _as_text(dataset_id), position,
-            *map(_as_text, row[2:6]),
-            _as_integer(count),
-            *map(_as_real, row[7:11]),
-            excluded, ambiguous, _as_text(context), _as_text(resolution),
-        )
-    if minimum and maximum and mean and stddev:
-        return row  # no zero, so no -0.0: stored exactly as bound
-    return (
-        dataset_id, position, written_name, written_unit, name, unit,
-        count, minimum + 0.0, maximum + 0.0, mean + 0.0, stddev + 0.0,
-        excluded, ambiguous, context, resolution,
-    )
-
-
-def _stored_feature(
-    feature: DatasetFeature, row: tuple
-) -> DatasetFeature | None:
-    """What a read of ``feature``, bound as the ``datasets`` ``row``,
-    returns, found from the feature; ``None`` off the fast path.
-
-    The fast path is the common shape: every value has exactly the type
-    its column stores and no box or interval coordinate is zero.  Then
-    the feature itself is what a read returns, unless a variable has a
-    zero statistic (``-0.0`` → ``0.0``) or the attributes are not str to
-    str in sorted key order (a read decodes the sorted JSON): only
-    then is a replacement built, and only the zero-statistic entries in
-    it are new.  The entry shares the feature's strings rather than
-    interning them as a disk read does: the caller holds them anyway.
-    """
-    (
-        dataset_id, title, platform, file_format,
-        min_lat, min_lon, max_lat, max_lon, start, end,
-        row_count, source_dir, attributes, content_hash,
-    ) = row
-    bbox, interval = feature.bbox, feature.interval
-    if not (
-        str is type(dataset_id) is type(title) is type(platform)
-        is type(file_format) is type(source_dir) is type(attributes)
-        is type(content_hash)
-        and type(row_count) is int
-        and float is type(min_lat) is type(min_lon) is type(max_lat)
-        is type(max_lon) is type(start) is type(end)
-        and min_lat and min_lon and max_lat and max_lon and start and end
-        and type(bbox) is BoundingBox and type(interval) is TimeInterval
-        and type(feature) is DatasetFeature
-    ):
-        return None
-    variables = feature.variables
-    rebuilt = None
-    for position, v in enumerate(variables):
-        count, minimum, maximum, mean, stddev = (
-            v.count, v.minimum, v.maximum, v.mean, v.stddev
-        )
-        if not (
-            type(v) is VariableEntry
-            and str is type(v.written_name) is type(v.written_unit)
-            is type(v.name) is type(v.unit) is type(v.context)
-            is type(v.resolution)
-            and type(count) is int
-            and float is type(minimum) is type(maximum) is type(mean)
-            is type(stddev)
-            and bool is type(v.excluded) is type(v.ambiguous)
-        ):
-            return None
-        if not (minimum and maximum and mean and stddev):
-            if rebuilt is None:
-                rebuilt = list(variables)
-            rebuilt[position] = VariableEntry(
-                v.written_name,
-                v.written_unit,
-                v.name,
-                v.unit,
-                count,
-                minimum + 0.0,
-                maximum + 0.0,
-                mean + 0.0,
-                stddev + 0.0,
-                v.excluded,
-                v.ambiguous,
-                v.context,
-                v.resolution,
-            )
-    stored_attributes = feature.attributes
-    keys = list(stored_attributes)
-    if not all(
-        str is type(key) is type(value)
-        for key, value in stored_attributes.items()
-    ) or keys != sorted(keys):
-        stored_attributes = json.loads(attributes)
-    elif rebuilt is None:
-        return feature
-    return DatasetFeature(
-        dataset_id,
-        title,
-        platform,
-        file_format,
-        bbox,
-        interval,
-        row_count,
-        source_dir,
-        stored_attributes,
-        variables if rebuilt is None else rebuilt,
-        content_hash,
-    )
-
 
 class SqliteCatalog(CatalogStore):
     """A :class:`CatalogStore` persisted in SQLite.
@@ -638,7 +432,7 @@ class SqliteCatalog(CatalogStore):
         """
         conn = self._conn
         version = None
-        entries: list[DatasetFeature] | None = []
+        entries: list[DatasetFeature] = []
         removed = 0
         with conn:
             if clear:
@@ -666,7 +460,7 @@ class SqliteCatalog(CatalogStore):
 
     def _write_features(
         self, features: list[DatasetFeature], known_empty: bool
-    ) -> list[DatasetFeature] | None:
+    ) -> list[DatasetFeature]:
         """Write ``features`` inside the caller's transaction.
 
         Each feature is staged through :meth:`_write_feature`, so a
@@ -674,11 +468,9 @@ class SqliteCatalog(CatalogStore):
         ``executemany`` deletes the staged ids (unless the store is
         ``known_empty``), one inserts their ``datasets`` rows and one
         their ``variables`` rows, each fed by a generator so no row
-        outlives its binding.  While there is a mirror, the dataset pass
-        also builds each feature's mirror entry; the entries are
-        returned for :meth:`_advance_mirror` to apply once the
-        transaction commits.  ``None`` means there is nothing to apply:
-        no mirror, or a value whose stored form is not known.
+        outlives its binding.  Returns the staged features: records are
+        built in stored form, so each is its own mirror entry, for
+        :meth:`_advance_mirror` to apply once the transaction commits.
         """
         staged: dict[str, DatasetFeature] = {}
         self._staged = staged
@@ -692,27 +484,9 @@ class SqliteCatalog(CatalogStore):
             conn.executemany(
                 _DELETE_DATASET, ((dataset_id,) for dataset_id in staged)
             )
-        entries: list[DatasetFeature] | None = (
-            [] if self._mirror is not None else None
+        conn.executemany(
+            _INSERT_DATASET, map(self._dataset_row, staged.values())
         )
-        strings: dict[str, str] = {}
-        dataset_row = self._dataset_row
-
-        def dataset_rows():
-            nonlocal entries
-            for feature in staged.values():
-                row = dataset_row(feature)
-                if entries is not None:
-                    try:
-                        entries.append(
-                            _stored_feature(feature, row)
-                            or self._decoded_entry(feature, row, strings)
-                        )
-                    except (TypeError, ValueError):
-                        entries = None
-                yield row
-
-        conn.executemany(_INSERT_DATASET, dataset_rows())
         variable_rows = self._variable_rows
         conn.executemany(
             _INSERT_VARIABLE,
@@ -722,26 +496,12 @@ class SqliteCatalog(CatalogStore):
                 for row in variable_rows(feature)
             ),
         )
-        return entries
-
-    def _decoded_entry(
-        self, feature: DatasetFeature, row: tuple, strings: dict[str, str]
-    ) -> DatasetFeature:
-        """A mirror entry off the fast path: the rows bound for
-        ``feature`` normalised to what SQLite stores and decoded as a
-        disk read decodes them.  An unknown value raises TypeError."""
-        return self._feature_from_row(
-            _stored_dataset_row(row),
-            variables=[
-                self._variable_from_row(_stored_variable_row(v), strings)
-                for v in self._variable_rows(feature)
-            ],
-        )
+        return list(staged.values())
 
     def _advance_mirror(
         self,
         version: int,
-        entries: Iterable[DatasetFeature] | None = (),
+        entries: Iterable[DatasetFeature] = (),
         removed: Iterable[str] = (),
         cleared: bool = False,
     ) -> None:
@@ -749,14 +509,13 @@ class SqliteCatalog(CatalogStore):
 
         ``version`` is the version our bump produced; unless it is the
         mirror's + 1, another connection wrote in between, and the
-        mirror is dropped (as it is when ``entries`` is ``None``).  The
-        change is applied in SQL order: the clear, the upserts, then
-        the removals.
+        mirror is dropped.  The change is applied in SQL order: the
+        clear, the upserts, then the removals.
         """
         mirror = self._mirror
         if mirror is None:
             return
-        if entries is None or version != self._mirror_version + 1:
+        if version != self._mirror_version + 1:
             self._mirror = None
             return
         if cleared:
@@ -796,7 +555,7 @@ class SqliteCatalog(CatalogStore):
             feature.interval.end,
             feature.row_count,
             feature.source_directory,
-            json.dumps(dict(feature.attributes), sort_keys=True),
+            json.dumps(dict(feature.attributes)),  # in sorted key order
             feature.content_hash,
         )
 
@@ -815,8 +574,8 @@ class SqliteCatalog(CatalogStore):
                 v.maximum,
                 v.mean,
                 v.stddev,
-                int(v.excluded),
-                int(v.ambiguous),
+                v.excluded,
+                v.ambiguous,
                 v.context,
                 v.resolution,
             )
@@ -866,8 +625,8 @@ class SqliteCatalog(CatalogStore):
             excluded, ambiguous, context, resolution,
         ) = v
         # Positional: keyword arguments cost a third more, paid on every
-        # row of a full read and of every mirrored write.  A NULL
-        # statistic was a NaN when it was bound.
+        # row of a full read.  A NULL statistic was a NaN when it was
+        # bound.
         return VariableEntry(
             intern(written_name, written_name),
             intern(written_unit, written_unit),

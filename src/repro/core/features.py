@@ -37,9 +37,7 @@ def _bounding_box(lats: list[float], lons: list[float]) -> BoundingBox:
         and max_lon <= 180.0
         and math.isfinite(sum(lats) + sum(lons))
     ):
-        return BoundingBox(
-            float(min_lat), float(min_lon), float(max_lat), float(max_lon)
-        )
+        return BoundingBox(min_lat, min_lon, max_lat, max_lon)
     return BoundingBox.from_points(
         GeoPoint(lat, lon) for lat, lon in zip(lats, lons)
     )

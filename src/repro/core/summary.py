@@ -99,7 +99,7 @@ def summarize(
         time_text=str(feature.interval),
         row_count=feature.row_count,
         source_directory=feature.source_directory,
-        attributes=tuple(sorted(feature.attributes.items())),
+        attributes=tuple(feature.attributes.items()),
         searchable=tuple(searchable),
         detail_only=tuple(detail_only),
     )

@@ -15,6 +15,7 @@ from .point import (
     EARTH_RADIUS_KM,
     GeoPoint,
     InvalidCoordinateError,
+    as_real,
     haversine_km,
     normalize_longitude,
     validate_latitude,
@@ -38,6 +39,7 @@ __all__ = [
     "InvalidCoordinateError",
     "SECONDS_PER_DAY",
     "TimeInterval",
+    "as_real",
     "box_distance_km_to_box",
     "box_distance_km_to_point",
     "from_epoch",

@@ -16,6 +16,7 @@ from typing import Iterable, Iterator
 from .point import (
     EARTH_RADIUS_KM,
     GeoPoint,
+    as_real,
     haversine_km,
     validate_latitude,
     validate_longitude,
@@ -140,6 +141,16 @@ class BoundingBox:
     max_lon: float
 
     def __post_init__(self) -> None:
+        # The stored form (``repro.catalog.records``): four floats, no
+        # ``-0.0``.  A box of nonzero floats already is.
+        if not (
+            float is type(self.min_lat) is type(self.min_lon)
+            is type(self.max_lat) is type(self.max_lon)
+            and self.min_lat and self.min_lon and self.max_lat
+            and self.max_lon
+        ):
+            for name in self.__slots__:
+                object.__setattr__(self, name, as_real(getattr(self, name)))
         validate_latitude(self.min_lat)
         validate_latitude(self.max_lat)
         validate_longitude(self.min_lon)

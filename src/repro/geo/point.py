@@ -22,6 +22,25 @@ class InvalidCoordinateError(ValueError):
     """Raised when a latitude/longitude pair is outside the legal range."""
 
 
+def as_real(value: object) -> float:
+    """``value`` in the form a SQLite REAL column stores and reads back.
+
+    An int (or bool) converts to float, ``-0.0`` becomes ``0.0`` and any
+    NaN becomes :data:`math.nan`, so two records holding the same
+    numbers hold equal values, NaN included.
+
+    Raises:
+        TypeError: for a non-number, or an int too large for a float.
+    """
+    if not isinstance(value, (int, float)):
+        raise TypeError(f"not a real number: {value!r}")
+    try:
+        value = float(value) + 0.0
+    except OverflowError:
+        raise TypeError(f"not a real number: {value!r}") from None
+    return value if value == value else math.nan
+
+
 def validate_latitude(lat: float) -> float:
     """Return ``lat`` if it lies in [-90, 90], else raise.
 

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Iterable, Iterator
 
+from .point import as_real
+
 SECONDS_PER_DAY = 86400.0
 
 
@@ -62,6 +64,14 @@ class TimeInterval:
     end: float
 
     def __post_init__(self) -> None:
+        # The stored form (``repro.catalog.records``): two floats, no
+        # ``-0.0``.
+        if not (
+            float is type(self.start) is type(self.end)
+            and self.start and self.end
+        ):
+            object.__setattr__(self, "start", as_real(self.start))
+            object.__setattr__(self, "end", as_real(self.end))
         if not (math.isfinite(self.start) and math.isfinite(self.end)):
             raise ValueError("interval endpoints must be finite")
         if self.start > self.end:

@@ -10,9 +10,11 @@ values, so the diff reads one :meth:`~repro.catalog.store.CatalogStore
 .snapshot` of the published store (the SQLite store's mirror when it is
 valid, one consistent read otherwise) and compares each working record
 with the published one: a record that ``is`` or ``==`` its published
-counterpart, or differs from it only by distinct NaN objects, is
-unchanged.  An unchanged re-wrangle therefore issues *zero* store
-writes.  Changed *and* vanished datasets go through one
+counterpart is unchanged (records are built in stored form, so a NaN
+statistic is always :data:`math.nan`, which record equality matches
+by identity).  An
+unchanged re-wrangle therefore issues *zero* store writes.  Changed
+*and* vanished datasets go through one
 ``CatalogStore.apply_batch``: a single transaction and ONE version bump
 per publish, so the query-serving cache built on catalog versions
 invalidates once per publish (not once per dataset) and a concurrent
@@ -30,23 +32,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..catalog.io import feature_to_dict
 from ..core.errors import classify_exception, is_transient
 from ..core.retry import RetryPolicy, retry_call
 from ..obs import get_telemetry
 from .component import Component, ComponentReport
 from .state import PublishDelta, WranglingState
-
-
-def _unchanged(old, new) -> bool:
-    """True when publishing ``new`` over ``old`` would change nothing.
-
-    ``==`` calls two distinct NaN floats unequal, so a pair that fails
-    it is compared once more as dicts, which encode NaN as ``None``.
-    """
-    return old is new or old == new or (
-        old is not None and feature_to_dict(old) == feature_to_dict(new)
-    )
 
 
 @dataclass(slots=True)
@@ -109,7 +99,7 @@ class Publish(Component):
             changed = []
             for feature in state.working.features():
                 old = published.pop(feature.dataset_id, None)
-                if _unchanged(old, feature):
+                if old is feature or old == feature:
                     report.items_skipped += 1
                 else:
                     changed.append(feature)

@@ -5,6 +5,8 @@ import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.catalog import (
     CatalogFormatError,
@@ -120,3 +122,97 @@ class TestLoadErrors:
     def test_empty_catalog_roundtrip(self):
         text = dump_catalog(MemoryCatalog())
         assert load_catalog(text, MemoryCatalog()) == 0
+
+
+# -- malformed records fail typed ---------------------------------------------
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=6,
+)
+FEATURE_FIELDS = [
+    "dataset_id", "title", "platform", "file_format", "bbox", "interval",
+    "row_count", "source_directory", "attributes", "content_hash",
+    "variables",
+]
+VARIABLE_FIELDS = [
+    "written_name", "written_unit", "name", "unit", "count", "minimum",
+    "maximum", "mean", "stddev", "excluded", "ambiguous", "context",
+    "resolution",
+]
+
+
+def catalog_text(record) -> str:
+    return json.dumps(
+        {"format": "repro-metadata-catalog", "version": 1,
+         "datasets": [record]}
+    )
+
+
+def valid_record() -> dict:
+    return {
+        "dataset_id": "stations/x.csv", "title": "X", "platform": "station",
+        "file_format": "csv", "bbox": [46.0, -124.0, 46.5, -123.5],
+        "interval": [0.0, 86400.0], "row_count": 10,
+        "source_directory": "stations", "attributes": {"b": "1", "a": "2"},
+        "content_hash": "h",
+        "variables": [{
+            "written_name": "sal", "written_unit": "psu", "name": "sal",
+            "unit": "psu", "count": 10, "minimum": 1.0, "maximum": 2.0,
+            "mean": 1.5, "stddev": None, "excluded": False,
+            "ambiguous": False, "context": "", "resolution": "",
+        }],
+    }
+
+
+class TestMalformedRecords:
+    @given(
+        field=st.sampled_from(
+            [("feature", f) for f in FEATURE_FIELDS]
+            + [("variable", f) for f in VARIABLE_FIELDS]
+        ),
+        value=json_values,
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_a_record_loads_or_raises_catalog_format_error(
+        self, field, value
+    ):
+        record = valid_record()
+        where, name = field
+        (record if where == "feature" else record["variables"][0])[
+            name
+        ] = value
+        text = catalog_text(record)
+        try:
+            load_catalog(text, MemoryCatalog())
+        except CatalogFormatError:
+            return
+        # What loads is in stored form: SQLite keeps it byte for byte.
+        memory, sqlite = MemoryCatalog(), SqliteCatalog()
+        load_catalog(text, memory)
+        load_catalog(text, sqlite)
+        assert dump_catalog(memory) == dump_catalog(sqlite)
+        sqlite.close()
+
+    def test_infinite_count_raises_catalog_format_error(self):
+        record = valid_record()
+        text = catalog_text(record).replace('"count": 10', '"count": 1e999')
+        assert "1e999" in text
+        with pytest.raises(CatalogFormatError):
+            load_catalog(text, MemoryCatalog())
+
+    def test_int_dataset_id_raises_catalog_format_error(self):
+        record = valid_record()
+        record["dataset_id"] = 5
+        with pytest.raises(CatalogFormatError):
+            load_catalog(catalog_text(record), MemoryCatalog())
+
+    def test_datasets_must_be_a_list(self):
+        text = json.dumps(
+            {"format": "repro-metadata-catalog", "version": 1,
+             "datasets": 5}
+        )
+        with pytest.raises(CatalogFormatError):
+            load_catalog(text, MemoryCatalog())

@@ -1,5 +1,6 @@
 """Unit tests for repro.catalog.records."""
 
+import math
 import pickle
 from dataclasses import FrozenInstanceError, replace
 
@@ -127,3 +128,92 @@ class TestDatasetFeature:
     def test_pickles_and_equals_itself(self):
         feature = make_feature()
         assert pickle.loads(pickle.dumps(feature)) == feature
+
+
+class TestStoredForm:
+    """The constructors hold values as a SQLite catalog stores them."""
+
+    def test_lossless_values_convert(self):
+        entry = make_entry(count=True, minimum=-0.0, maximum=20, mean=12.0)
+        assert entry.count == 1 and type(entry.count) is int
+        assert str(entry.minimum) == "0.0"
+        assert type(entry.maximum) is float
+        assert make_entry(count=5.0).count == 5
+        feature = replace(
+            make_feature([entry]),
+            bbox=BoundingBox(-0.0, -124, 47, 0),
+            interval=TimeInterval(-0.0, 86400),
+            attributes={"zeta": "1", "alpha": "2"},
+        )
+        assert feature.bbox.as_tuple() == (0.0, -124.0, 47.0, 0.0)
+        assert all(type(x) is float for x in feature.bbox.as_tuple())
+        assert str(feature.bbox.min_lat) == "0.0"
+        assert all(type(x) is float for x in feature.interval.as_tuple())
+        assert str(feature.interval.start) == "0.0"
+        assert list(feature.attributes) == ["alpha", "zeta"]
+
+    def test_any_nan_is_math_nan_and_records_with_it_are_equal(self):
+        nan = float("inf") - float("inf")
+        assert nan is not math.nan
+        entry = make_entry(count=0, minimum=nan, maximum=nan, mean=nan,
+                           stddev=nan)
+        assert entry.minimum is math.nan and entry.stddev is math.nan
+        again = make_entry(count=0, minimum=float("nan"),
+                           maximum=float("nan"), mean=float("nan"),
+                           stddev=float("nan"))
+        assert entry == again
+        assert make_feature([entry]) == make_feature([again])
+
+    def test_nan_survives_pickling(self):
+        entry = make_entry(count=0, minimum=math.nan, maximum=math.nan,
+                           mean=math.nan, stddev=math.nan)
+        clone = pickle.loads(pickle.dumps(make_feature([entry])))
+        assert clone.variables[0].mean is math.nan
+        assert clone == make_feature([entry])
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"count": 2.5},
+            {"count": 2.0**63},
+            {"count": 1e19},
+            {"count": 2**63},
+            {"count": math.inf},
+            {"count": None},
+            {"count": "5"},
+            {"minimum": "1.0"},
+            {"mean": None},
+            {"stddev": 10**400},
+            {"name": 5},
+            {"unit": None},
+            {"excluded": 1},
+        ],
+        ids=repr,
+    )
+    def test_entry_rejections_are_type_errors(self, overrides):
+        with pytest.raises(TypeError):
+            make_entry(**overrides)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"dataset_id": 5},
+            {"title": None},
+            {"row_count": 2.5},
+            {"row_count": 2.0**63},
+            {"attributes": {"k": 1}},
+            {"attributes": {1: "v"}},
+            {"variables": [{"name": "salinity"}]},
+            {"bbox": (46.0, -124.0, 46.0, -124.0)},
+        ],
+        ids=repr,
+    )
+    def test_feature_rejections_are_type_errors(self, overrides):
+        with pytest.raises(TypeError):
+            replace(make_feature(), **overrides)
+
+    def test_coordinate_rejections_are_type_errors(self):
+        with pytest.raises(TypeError):
+            BoundingBox("46", -124.0, 47.0, -123.0)
+        with pytest.raises(TypeError):
+            TimeInterval(0.0, 10**400)

@@ -243,6 +243,30 @@ def test_dropout_rewrangle_through_the_cli_writes_nothing(tmp_path, capsys):
     assert "Dropout" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("kind", ["memory", "sqlite", "file"])
+def test_dropout_rescan_publishes_nothing(kind, workers):
+    """NaN statistics are ``math.nan`` in every record, also in records
+    that come back from the scan's worker processes, so a fresh scan of
+    an unchanged dropout archive equals what was published."""
+    backend = Backend(kind)
+    try:
+        fs = VirtualArchive()
+        for i in range(4):
+            fs.put(f"station/ds_{i}.csv", make_csv(f"Dropout {i}", i, 1))
+        for __ in range(2):
+            # A fresh working catalog: every file is parsed again.
+            state = WranglingState(fs=fs, published=backend.reopened())
+            ScanArchive(workers=workers, min_parallel_files=1).execute(state)
+            before = state.published.version
+            report = Publish(retry=FAST).execute(state)
+        assert report.changes == 0
+        assert state.published.version == before
+        assert_dropout(state.published.get("station/ds_0.csv"))
+    finally:
+        backend.close()
+
+
 def test_search_over_a_dropout_catalog(tmp_path):
     fs = VirtualArchive()
     fs.put("station/a.csv", make_csv("Dropout", 1, 1))

@@ -2,10 +2,10 @@
 
 ``SqliteCatalog.snapshot`` answers from its mirror while the mirror is
 valid at the live catalog version.  A stateful Hypothesis machine drives
-every mutator — plus writes from a second connection, a NULL that
-rolls a batch back, a busy-retried batch and awkward values (``-0.0``,
-NaN statistics, ints in REAL columns, integral floats in INTEGER
-columns, unsorted non-ASCII attribute keys) — and after every step
+every mutator — plus writes from a second connection, an unbindable
+value that rolls a batch back, a busy-retried batch and awkward values
+(``-0.0``, NaN statistics, ints in REAL columns, integral floats in
+INTEGER columns, unsorted non-ASCII attribute keys) — and after every step
 checks that ``store.snapshot()`` equals a fresh full read of the
 database, at the same version, field for field and type for type (a
 NaN equals a NaN).  The pin tests below count full reads.
@@ -63,13 +63,12 @@ reals = st.one_of(
     st.integers(-(2**53), 2**53),
     st.sampled_from([-0.0, 0.0, 1e300, -1e300, float("inf"), math.nan]),
 )
-#: Values bound to INTEGER columns: ints, bools, integral floats in and
-#: out of the 64-bit range, and a non-integral float (stored as REAL).
+#: Values bound to INTEGER columns: ints, bools and integral floats in
+#: the 64-bit range.  The constructors reject the rest (a non-integral
+#: float, an integral one out of range): see test_catalog_records.
 integers = st.one_of(
     st.integers(-(2**62), 2**62),
-    st.sampled_from(
-        [True, 5.0, -0.0, 2.5, 2.0**63 - 1024, 2.0**63, -(2.0**63), 1e19]
-    ),
+    st.sampled_from([True, 5.0, -0.0, 2.0**63 - 1024, -(2.0**63)]),
 )
 degrees = st.one_of(
     st.floats(-90.0, 90.0, allow_nan=False),
@@ -267,18 +266,12 @@ class MirrorMachine(RuleBasedStateMachine):
         assert_same_snapshot(refreshed, self.disk_snapshot())
 
     @rule(good=features(), bad=features())
-    def null_rolls_back(self, good, bad):
-        bad = replace(
-            bad,
-            variables=[
-                *bad.variables,
-                VariableEntry.from_written(
-                    "x", "u", None, 0.0, 1.0, 0.5, 0.0
-                ),
-            ],
-        )
+    def unbindable_value_rolls_back(self, good, bad):
+        # A lone surrogate is a str, so the constructor takes it, but
+        # SQLite cannot encode it: the batch fails while binding.
+        bad = replace(bad, title="\ud800")
         before = self.store.version
-        with pytest.raises(sqlite3.IntegrityError):
+        with pytest.raises(UnicodeEncodeError):
             self.store.upsert_many([good, bad])
         assert self.store.version == before
 
@@ -441,6 +434,20 @@ class TestFullReads:
         assert refreshed.dataset_ids() == ["d0", "d1"]
         assert refreshed.version == store.version
         store.close()
+
+
+def test_published_entries_are_the_working_records(messy_fs, tmp_path):
+    """Records are built in stored form, so publishing a wrangled
+    archive mirrors every working record itself: nothing is rebuilt."""
+    fs, __ = messy_fs
+    store = SqliteCatalog(str(tmp_path / "published.db"))
+    system = DataNearHere(fs, published=store, workers=1)
+    system.wrangle()
+    working = {f.dataset_id: f for f in system.state.working.features()}
+    snapshot = store.snapshot()
+    assert snapshot.dataset_ids() == sorted(working)
+    assert all(f is working[f.dataset_id] for f in snapshot.features())
+    store.close()
 
 
 # -- restart: a reopened catalog serves the same pages ------------------------
